@@ -7,6 +7,7 @@
 package ordu
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -55,12 +56,12 @@ func runOp(b *testing.B, d int, fn func(w geom.Vector)) {
 
 func BenchmarkDefaultsORD(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
-	runOp(b, benchD, func(w geom.Vector) { core.ORD(tree, w, benchK, benchM) })
+	runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
 }
 
 func BenchmarkDefaultsORU(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
-	runOp(b, benchD, func(w geom.Vector) { core.ORU(tree, w, benchK, benchM) })
+	runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
 }
 
 // --- Figure 6: case study operators on the NBA 2018-19 slice ---
@@ -77,8 +78,8 @@ func BenchmarkFig6CaseStudy(b *testing.B) {
 		name string
 		fn   func()
 	}{
-		{"ORD", func() { core.ORD(tree, w, 2, 6) }},
-		{"ORU", func() { core.ORU(tree, w, 2, 6) }},
+		{"ORD", func() { core.ORDCtx(context.Background(), tree, w, 2, 6) }},
+		{"ORU", func() { core.ORUWithCtx(context.Background(), tree, w, 2, 6, core.ORUOptions{}) }},
 		{"TopM", func() { topk.TopK(tree, w, 6) }},
 		{"OSSSkyline", func() { osskyline.TopM(tree, 6) }},
 	}
@@ -111,7 +112,7 @@ func BenchmarkFig8Cardinality(b *testing.B) {
 	for _, n := range []int{10_000, 50_000, 200_000} {
 		tree := benchCache.Synthetic(data.IND, n, benchD)
 		b.Run(fmt.Sprintf("ORD/n=%d", n), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORD(tree, w, benchK, benchM) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
 		})
 	}
 }
@@ -120,7 +121,7 @@ func BenchmarkFig8Dimensionality(b *testing.B) {
 	for _, d := range []int{2, 3, 4, 5} {
 		tree := benchCache.Synthetic(data.IND, benchN, d)
 		b.Run(fmt.Sprintf("ORD/d=%d", d), func(b *testing.B) {
-			runOp(b, d, func(w geom.Vector) { core.ORD(tree, w, benchK, benchM) })
+			runOp(b, d, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
 		})
 	}
 }
@@ -129,7 +130,7 @@ func BenchmarkFig8K(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, k := range []int{1, 5, 10} {
 		b.Run(fmt.Sprintf("ORD/k=%d", k), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORD(tree, w, k, benchM) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, k, benchM) })
 		})
 	}
 }
@@ -138,7 +139,7 @@ func BenchmarkFig8M(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, m := range []int{10, 30, 50} {
 		b.Run(fmt.Sprintf("ORD/m=%d", m), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORD(tree, w, benchK, m) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, m) })
 		})
 	}
 }
@@ -146,7 +147,7 @@ func BenchmarkFig8M(b *testing.B) {
 func BenchmarkFig8Competitors(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	b.Run("ORD", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORD(tree, w, benchK, benchM) })
+		runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
 	})
 	b.Run("ORD-BSL", func(b *testing.B) {
 		runOp(b, benchD, func(w geom.Vector) { core.ORDBSL(tree, w, benchK, benchM) })
@@ -165,7 +166,7 @@ func BenchmarkFig9Distributions(b *testing.B) {
 	for _, dist := range []data.Distribution{data.ANTI, data.COR, data.IND} {
 		tree := benchCache.Synthetic(dist, benchN, benchD)
 		b.Run(string(dist), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORD(tree, w, benchK, benchM) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
 		})
 	}
 }
@@ -174,7 +175,7 @@ func BenchmarkFig9RealDatasets(b *testing.B) {
 	for _, name := range []string{"HOTEL", "HOUSE", "NBA"} {
 		tree := benchCache.Named(name, 20_000)
 		b.Run(name, func(b *testing.B) {
-			runOp(b, tree.Dim(), func(w geom.Vector) { core.ORD(tree, w, benchK, benchM) })
+			runOp(b, tree.Dim(), func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
 		})
 	}
 }
@@ -185,7 +186,7 @@ func BenchmarkFig10Cardinality(b *testing.B) {
 	for _, n := range []int{10_000, 50_000} {
 		tree := benchCache.Synthetic(data.IND, n, benchD)
 		b.Run(fmt.Sprintf("ORU/n=%d", n), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORU(tree, w, benchK, benchM) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
 		})
 	}
 }
@@ -194,7 +195,7 @@ func BenchmarkFig10Dimensionality(b *testing.B) {
 	for _, d := range []int{2, 3, 4} {
 		tree := benchCache.Synthetic(data.IND, benchN, d)
 		b.Run(fmt.Sprintf("ORU/d=%d", d), func(b *testing.B) {
-			runOp(b, d, func(w geom.Vector) { core.ORU(tree, w, benchK, benchM) })
+			runOp(b, d, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
 		})
 	}
 }
@@ -203,7 +204,7 @@ func BenchmarkFig10K(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, k := range []int{1, 5} {
 		b.Run(fmt.Sprintf("ORU/k=%d", k), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORU(tree, w, k, benchM) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, k, benchM, core.ORUOptions{}) })
 		})
 	}
 }
@@ -212,7 +213,7 @@ func BenchmarkFig10M(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, m := range []int{10, 30} {
 		b.Run(fmt.Sprintf("ORU/m=%d", m), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORU(tree, w, benchK, m) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, m, core.ORUOptions{}) })
 		})
 	}
 }
@@ -222,7 +223,7 @@ func BenchmarkFig10Competitors(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, 10_000, benchD)
 	const m = 20
 	b.Run("ORU", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORU(tree, w, benchK, m) })
+		runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, m, core.ORUOptions{}) })
 	})
 	b.Run("ORU-BSL", func(b *testing.B) {
 		runOp(b, benchD, func(w geom.Vector) { core.ORUBSL(tree, w, benchK, m, 0) })
@@ -238,7 +239,7 @@ func BenchmarkFig11Distributions(b *testing.B) {
 	for _, dist := range []data.Distribution{data.ANTI, data.COR, data.IND} {
 		tree := benchCache.Synthetic(dist, benchN, benchD)
 		b.Run(string(dist), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORU(tree, w, benchK, benchM) })
+			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
 		})
 	}
 }
@@ -247,7 +248,7 @@ func BenchmarkFig11RealDatasets(b *testing.B) {
 	for _, name := range []string{"HOTEL", "HOUSE", "NBA"} {
 		tree := benchCache.Named(name, 20_000)
 		b.Run(name, func(b *testing.B) {
-			runOp(b, tree.Dim(), func(w geom.Vector) { core.ORU(tree, w, 2, 10) })
+			runOp(b, tree.Dim(), func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, 2, 10, core.ORUOptions{}) })
 		})
 	}
 }
@@ -260,7 +261,7 @@ func BenchmarkFig11RealDatasets(b *testing.B) {
 func BenchmarkAblationORDSwitch(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	b.Run("enhanced", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORD(tree, w, benchK, benchM) })
+		runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
 	})
 	b.Run("full-skyband", func(b *testing.B) {
 		runOp(b, benchD, func(w geom.Vector) { core.ORDBSL(tree, w, benchK, benchM) })
@@ -273,12 +274,12 @@ func BenchmarkAblationORUPartitionBypass(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	b.Run("bypass", func(b *testing.B) {
 		runOp(b, benchD, func(w geom.Vector) {
-			core.ORUWith(tree, w, benchK, benchM, core.ORUOptions{})
+			core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{})
 		})
 	})
 	b.Run("always-hull", func(b *testing.B) {
 		runOp(b, benchD, func(w geom.Vector) {
-			core.ORUWith(tree, w, benchK, benchM, core.ORUOptions{NoPartitionBypass: true})
+			core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{NoPartitionBypass: true})
 		})
 	})
 }
@@ -289,7 +290,7 @@ func BenchmarkAblationORUGradual(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, 10_000, benchD)
 	const m = 20
 	b.Run("gradual", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORU(tree, w, benchK, m) })
+		runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, m, core.ORUOptions{}) })
 	})
 	b.Run("eager", func(b *testing.B) {
 		runOp(b, benchD, func(w geom.Vector) { core.ORUBSL(tree, w, benchK, m, 0) })
@@ -625,19 +626,4 @@ func BenchmarkMutationWholesaleRebuild(b *testing.B) {
 			}
 		})
 	}
-}
-
-// AblationORUParallel measures the Section 6.4 parallelisation extension.
-func BenchmarkAblationORUParallel(b *testing.B) {
-	tree := benchCache.Synthetic(data.IND, benchN, benchD)
-	b.Run("sequential", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) {
-			core.ORUWith(tree, w, benchK, benchM, core.ORUOptions{})
-		})
-	})
-	b.Run("workers-4", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) {
-			core.ORUWith(tree, w, benchK, benchM, core.ORUOptions{Workers: 4})
-		})
-	})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -59,7 +60,7 @@ func fig7Panel(e *env, title string, tree *rtree.Tree, users []geom.Vector, k in
 		// Average ORU stopping radius over the users.
 		var radii []float64
 		for _, w := range users {
-			res, err := core.ORU(tree, w, k, m)
+			res, err := core.ORUWithCtx(context.Background(), tree, w, k, m, core.ORUOptions{})
 			if err != nil {
 				continue
 			}
@@ -104,7 +105,7 @@ func runFig7c(e *env) {
 	for _, m := range []int{s.Ms[0], s.DefaultM, s.Ms[len(s.Ms)-1]} {
 		var radii []float64
 		for _, w := range users {
-			res, err := core.ORD(tree, w, k, m)
+			res, err := core.ORDCtx(context.Background(), tree, w, k, m)
 			if err != nil {
 				continue
 			}

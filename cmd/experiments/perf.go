@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -21,7 +22,7 @@ type method struct {
 func ordMethods(e *env) []method {
 	return []method{
 		{"ORD", func(t *rtree.Tree, w geom.Vector, k, m int) error {
-			_, err := core.ORD(t, w, k, m)
+			_, err := core.ORDCtx(context.Background(), t, w, k, m)
 			return err
 		}},
 		{"ORD-BSL", func(t *rtree.Tree, w geom.Vector, k, m int) error {
@@ -42,7 +43,7 @@ func ordMethods(e *env) []method {
 func oruMethods(e *env) []method {
 	return []method{
 		{"ORU", func(t *rtree.Tree, w geom.Vector, k, m int) error {
-			_, err := core.ORU(t, w, k, m)
+			_, err := core.ORUWithCtx(context.Background(), t, w, k, m, core.ORUOptions{})
 			return err
 		}},
 		{"ORU-BSL", func(t *rtree.Tree, w geom.Vector, k, m int) error {
@@ -313,12 +314,12 @@ func runDiscussion(e *env) {
 		tree := e.cache.Synthetic(data.IND, n, s.DefaultD)
 		seeds := expr.Seeds(s.DefaultD, s.Seeds)
 		ordAvg, _ := e.measureCell(seeds, func(w geom.Vector) {
-			if _, err := core.ORD(tree, w, s.DefaultK, s.DefaultM); err != nil {
+			if _, err := core.ORDCtx(context.Background(), tree, w, s.DefaultK, s.DefaultM); err != nil {
 				fmt.Fprintf(e.out, "(ORD failed at |D|=%s: %v)\n", fmtCard(n), err)
 			}
 		})
 		oruAvg, _ := e.measureCell(seeds, func(w geom.Vector) {
-			if _, err := core.ORU(tree, w, s.DefaultK, s.DefaultM); err != nil {
+			if _, err := core.ORUWithCtx(context.Background(), tree, w, s.DefaultK, s.DefaultM, core.ORUOptions{}); err != nil {
 				fmt.Fprintf(e.out, "(ORU failed at |D|=%s: %v)\n", fmtCard(n), err)
 			}
 		})

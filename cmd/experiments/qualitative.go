@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -37,12 +38,12 @@ func runFig6(e *env) {
 		name := func(id int) string { return players[id].Name }
 
 		fmt.Fprintf(e.out, "\n== %s (k=%d, m=%d) ==\n", cs.title, k, m)
-		if res, err := core.ORD(tr, cs.w, k, m); err == nil {
+		if res, err := core.ORDCtx(context.Background(), tr, cs.w, k, m); err == nil {
 			fmt.Fprintf(e.out, "%-12s %s\n", "ORD:", nameList(res.Records, name))
 		} else {
 			fmt.Fprintf(e.out, "%-12s error: %v\n", "ORD:", err)
 		}
-		if res, err := core.ORU(tr, cs.w, k, m); err == nil {
+		if res, err := core.ORUWithCtx(context.Background(), tr, cs.w, k, m, core.ORUOptions{}); err == nil {
 			fmt.Fprintf(e.out, "%-12s %s\n", "ORU:", nameList(res.Records, name))
 		} else {
 			fmt.Fprintf(e.out, "%-12s error: %v\n", "ORU:", err)
@@ -87,8 +88,8 @@ func runJaccard(e *env) {
 		ossIDs[i] = r.ID
 	}
 	for _, w := range seeds {
-		ord, err1 := core.ORD(tr, w, s.DefaultK, s.DefaultM)
-		oru, err2 := core.ORU(tr, w, s.DefaultK, s.DefaultM)
+		ord, err1 := core.ORDCtx(context.Background(), tr, w, s.DefaultK, s.DefaultM)
+		oru, err2 := core.ORUWithCtx(context.Background(), tr, w, s.DefaultK, s.DefaultM, core.ORUOptions{})
 		if err1 != nil || err2 != nil {
 			continue
 		}

@@ -216,13 +216,13 @@ func TestStatsNDJSON(t *testing.T) {
 }
 
 // TestStatsSpawns pins the spawn records over a package that does start
-// goroutines: the skyband merge spawning its shard workers.
+// goroutines: the region explorer spawning its partition workers.
 func TestStatsSpawns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module plus its stdlib closure")
 	}
 	var out, errw bytes.Buffer
-	if code := run([]string{"-stats", "./internal/skyband"}, &out, &errw); code != 0 {
+	if code := run([]string{"-stats", "./internal/core"}, &out, &errw); code != 0 {
 		t.Fatalf("run(-stats) = %d, stderr: %s", code, errw.String())
 	}
 	found := false
@@ -236,11 +236,11 @@ func TestStatsSpawns(t *testing.T) {
 		}
 		caller, _ := rec["caller"].(string)
 		callee, _ := rec["callee"].(string)
-		if strings.HasSuffix(caller, "skyband.scanParallel") && strings.HasSuffix(callee, "shardScan.run") {
+		if strings.HasSuffix(caller, "core.explorer.explore") && strings.HasSuffix(callee, "explore.func1") {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("no spawn record for scanParallel -> shardScan.run; the concurrency stats lost the parallel frontier")
+		t.Error("no spawn record for explore -> explore.func1; the concurrency stats lost the batched explorer")
 	}
 }

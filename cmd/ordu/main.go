@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -28,6 +29,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	var (
 		dataFile = flag.String("data", "", "CSV file of records (numeric, no header)")
 		gen      = flag.String("gen", "", "generate a synthetic dataset: IND, COR or ANTI")
@@ -71,7 +73,7 @@ func main() {
 	t0 := time.Now()
 	switch *op {
 	case "ord":
-		res, err := ds.ORD(w, *k, *m)
+		res, err := ds.ORDCtx(ctx, w, *k, *m)
 		if err != nil {
 			fatal(err)
 		}
@@ -88,7 +90,7 @@ func main() {
 			fmt.Printf("  #%-4d id=%-8d radius=%.6f  %v\n", i+1, r.ID, res.Radii[i], short(r.Record))
 		}
 	case "oru":
-		res, err := ds.ORU(w, *k, *m)
+		res, err := ds.ORUCtx(ctx, w, *k, *m)
 		if err != nil {
 			fatal(err)
 		}

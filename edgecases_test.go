@@ -1,6 +1,7 @@
 package ordu
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -21,14 +22,14 @@ func TestDuplicateRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := Preference([]float64{1, 1, 1})
-	res, err := ds.ORD(w, 3, 12)
+	res, err := ds.ORDCtx(context.Background(), w, 3, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) != 12 {
 		t.Fatalf("ORD on duplicates returned %d records", len(res.Records))
 	}
-	oru, err := ds.ORU(w, 2, 8)
+	oru, err := ds.ORUCtx(context.Background(), w, 2, 8)
 	if err == ErrInsufficientData {
 		t.Skip("duplicate-collapsed hull too small; acceptable")
 	}
@@ -53,7 +54,7 @@ func TestAllIdenticalRecords(t *testing.T) {
 	w, _ := Preference([]float64{1, 1})
 	// Every record ties; the k-skyband is everything, so ORD can return
 	// any m of them at radius 0.
-	res, err := ds.ORD(w, 1, 5)
+	res, err := ds.ORDCtx(context.Background(), w, 1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,18 +67,18 @@ func TestAllIdenticalRecords(t *testing.T) {
 func TestTinyDatasets(t *testing.T) {
 	ds, _ := NewDataset([][]float64{{0.2, 0.8}, {0.8, 0.2}})
 	w, _ := Preference([]float64{1, 1})
-	res, err := ds.ORD(w, 2, 2)
+	res, err := ds.ORDCtx(context.Background(), w, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) != 2 {
 		t.Fatalf("got %d", len(res.Records))
 	}
-	if _, err := ds.ORD(w, 2, 3); err != ErrInsufficientData {
+	if _, err := ds.ORDCtx(context.Background(), w, 2, 3); err != ErrInsufficientData {
 		t.Fatalf("m beyond dataset: %v", err)
 	}
 	// ORU with k equal to the dataset size.
-	oru, err := ds.ORU(w, 2, 2)
+	oru, err := ds.ORUCtx(context.Background(), w, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +101,14 @@ func TestExtremeSeedVectors(t *testing.T) {
 		{0, 0, 1},     // another corner
 		{0.98, 0.01, 0.01},
 	} {
-		res, err := ds.ORD(w, 2, 10)
+		res, err := ds.ORDCtx(context.Background(), w, 2, 10)
 		if err != nil {
 			t.Fatalf("w=%v: %v", w, err)
 		}
 		if len(res.Records) != 10 {
 			t.Fatalf("w=%v: %d records", w, len(res.Records))
 		}
-		oru, err := ds.ORU(w, 2, 6)
+		oru, err := ds.ORUCtx(context.Background(), w, 2, 6)
 		if err != nil {
 			t.Fatalf("ORU w=%v: %v", w, err)
 		}
@@ -136,14 +137,14 @@ func TestHighDimensionalOperators(t *testing.T) {
 			wr[i] = 1 + rng.Float64()
 		}
 		w, _ := Preference(wr)
-		res, err := ds.ORD(w, 3, 15)
+		res, err := ds.ORDCtx(context.Background(), w, 3, 15)
 		if err != nil {
 			t.Fatalf("d=%d ORD: %v", d, err)
 		}
 		if len(res.Records) != 15 {
 			t.Fatalf("d=%d: %d records", d, len(res.Records))
 		}
-		oru, err := ds.ORU(w, 2, 8)
+		oru, err := ds.ORUCtx(context.Background(), w, 2, 8)
 		if err != nil {
 			t.Fatalf("d=%d ORU: %v", d, err)
 		}
@@ -164,14 +165,14 @@ func TestMPastSkybandBoundary(t *testing.T) {
 	k := 2
 	band, _ := ds.KSkyband(k)
 	w, _ := Preference([]float64{1, 2, 1})
-	res, err := ds.ORD(w, k, len(band))
+	res, err := ds.ORDCtx(context.Background(), w, k, len(band))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) != len(band) {
 		t.Fatalf("full-band ORD: %d records, band %d", len(res.Records), len(band))
 	}
-	if _, err := ds.ORD(w, k, len(band)+1); err != ErrInsufficientData {
+	if _, err := ds.ORDCtx(context.Background(), w, k, len(band)+1); err != ErrInsufficientData {
 		t.Fatalf("band+1: %v", err)
 	}
 }

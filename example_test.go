@@ -1,6 +1,7 @@
 package ordu_test
 
 import (
+	"context"
 	"fmt"
 
 	"ordu"
@@ -16,10 +17,10 @@ var laptops = [][]float64{
 	{0.50, 0.50, 0.50},
 }
 
-func ExampleDataset_ORD() {
+func ExampleDataset_ORDCtx() {
 	ds, _ := ordu.NewDataset(laptops)
 	w, _ := ordu.Preference([]float64{4, 3, 3})
-	res, _ := ds.ORD(w, 2, 3)
+	res, _ := ds.ORDCtx(context.Background(), w, 2, 3)
 	for i, r := range res.Records {
 		fmt.Printf("%d: laptop %d (radius %.3f)\n", i+1, r.ID, res.Radii[i])
 	}
@@ -29,10 +30,10 @@ func ExampleDataset_ORD() {
 	// 3: laptop 2 (radius 0.042)
 }
 
-func ExampleDataset_ORU() {
+func ExampleDataset_ORUCtx() {
 	ds, _ := ordu.NewDataset(laptops)
 	w, _ := ordu.Preference([]float64{4, 3, 3})
-	res, _ := ds.ORU(w, 1, 2)
+	res, _ := ds.ORUCtx(context.Background(), w, 1, 2)
 	fmt.Printf("%d records within rho=%.3f\n", len(res.Records), res.Rho)
 	for _, reg := range res.Regions {
 		fmt.Printf("top-1 = laptop %d at distance %.3f\n", reg.TopK[0].ID, reg.MinDist)

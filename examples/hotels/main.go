@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// A 50,000-hotel inventory with four normalised attributes:
 	// location score, value for money, guest rating, amenities.
 	raw := data.Hotel(50_000, 42)
@@ -43,7 +45,7 @@ func main() {
 	}
 	const k, m = 5, 12
 
-	oru, err := ds.ORU(w, k, m)
+	oru, err := ds.ORUCtx(ctx, w, k, m)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +72,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oru2, err := ds.ORU(w, k, m)
+	oru2, err := ds.ORUCtx(ctx, w, k, m)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -36,11 +37,12 @@ func scenario(players []data.Player, attrs []string, dims [2]int, w []float64) {
 	name := func(id int) string { return players[id].Name }
 
 	const k, m = 2, 6
-	ordRes, err := ds.ORD(w, k, m)
+	ctx := context.Background()
+	ordRes, err := ds.ORDCtx(ctx, w, k, m)
 	if err != nil {
 		log.Fatal(err)
 	}
-	oruRes, err := ds.ORU(w, k, m)
+	oruRes, err := ds.ORUCtx(ctx, w, k, m)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -11,6 +12,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	// Eight laptops scored on battery life, performance and display
 	// quality (already normalised; larger is better).
 	laptops := [][]float64{
@@ -49,7 +51,7 @@ func main() {
 	}
 
 	// ORD: relax dominance around w until exactly 4 records qualify.
-	ord, err := ds.ORD(w, 2, 4)
+	ord, err := ds.ORDCtx(ctx, w, 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func main() {
 
 	// ORU: the records that enter some top-2 when the preference is
 	// perturbed within the (automatically determined) radius.
-	oru, err := ds.ORU(w, 2, 4)
+	oru, err := ds.ORUCtx(ctx, w, 2, 4)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	hotels := data.TripAdvisor(0, 7)
 	records := make([][]float64, len(hotels))
 	for i, h := range hotels {
@@ -49,7 +51,7 @@ func main() {
 
 		// ...while ORD hedges: exactly m hotels that stay competitive for
 		// any preference near the estimate.
-		res, err := ds.ORD(w, k, m)
+		res, err := ds.ORDCtx(ctx, w, k, m)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,43 +1,11 @@
 package ordu
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
-
-	"ordu/internal/data"
 )
-
-func TestORUParallelMatchesSequential(t *testing.T) {
-	recs := toRecords(data.Synthetic(data.ANTI, 2000, 3, 17))
-	ds, err := NewDataset(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, _ := Preference([]float64{2, 1, 1})
-	seq, err := ds.ORU(w, 3, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := ds.ORUParallel(w, 3, 15, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(seq.Rho-par.Rho) > 1e-9 || len(seq.Records) != len(par.Records) {
-		t.Fatalf("parallel diverged: rho %g vs %g, %d vs %d records",
-			seq.Rho, par.Rho, len(seq.Records), len(par.Records))
-	}
-	for i := range seq.Records {
-		if seq.Records[i].ID != par.Records[i].ID {
-			t.Fatalf("record order diverged at %d", i)
-		}
-	}
-	// workers <= 1 falls back to sequential.
-	one, err := ds.ORUParallel(w, 3, 15, 1)
-	if err != nil || one.Rho != seq.Rho {
-		t.Fatal("workers=1 fallback broken")
-	}
-}
 
 func TestFilterThenQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
@@ -75,7 +43,7 @@ func TestFilterThenQuery(t *testing.T) {
 	}
 	// Querying the filtered dataset works end-to-end.
 	w, _ := Preference([]float64{1, 1, 1})
-	res, err := sub.ORD(w, 2, 8)
+	res, err := sub.ORDCtx(context.Background(), w, 2, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ordu
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -54,7 +55,7 @@ func TestIntegrationAllGenerators(t *testing.T) {
 				m = len(band)
 			}
 
-			ord, err := ds.ORD(w, k, m)
+			ord, err := ds.ORDCtx(context.Background(), w, k, m)
 			if err != nil {
 				t.Fatalf("ORD: %v", err)
 			}
@@ -68,11 +69,11 @@ func TestIntegrationAllGenerators(t *testing.T) {
 				}
 			}
 
-			oru, err := ds.ORU(w, k, m)
+			oru, err := ds.ORUCtx(context.Background(), w, k, m)
 			if err == ErrInsufficientData {
 				// Legitimate on heavily correlated workloads; retry smaller.
 				m = k
-				oru, err = ds.ORU(w, k, m)
+				oru, err = ds.ORUCtx(context.Background(), w, k, m)
 			}
 			if err != nil {
 				t.Fatalf("ORU: %v", err)
@@ -152,7 +153,7 @@ func TestPublicQuickProperties(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := ds.ORD(w, k, m)
+		res, err := ds.ORDCtx(context.Background(), w, k, m)
 		if err == ErrInsufficientData {
 			return true
 		}
@@ -176,7 +177,7 @@ func TestORURegionsCoverNeighbourhood(t *testing.T) {
 		t.Fatal(err)
 	}
 	w, _ := Preference([]float64{1, 1, 1})
-	res, err := ds.ORU(w, 3, 12)
+	res, err := ds.ORUCtx(context.Background(), w, 3, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,8 @@ import (
 //     a concurrent reader may already hold.
 //   - If x was built as a copy of another local (x := src), writes through
 //     src after the store are flagged too: the copy shares slice, map and
-//     pointer fields with the published value. (The parallel pruner's
-//     append-only contract suppresses this with a justified allow.)
+//     pointer fields with the published value. (An append-only contract
+//     that appends only past the published length needs a justified allow.)
 //   - A value obtained from p.Load() is read-only: writes through a local
 //     bound to a Load result are flagged wherever they occur.
 //

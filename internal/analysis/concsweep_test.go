@@ -11,8 +11,8 @@ import (
 // of each one. The spawn map is exhaustive by construction — a new go
 // statement anywhere in the module fails the test until its protocol is
 // classified here — making this the machine-checked version of the
-// parallel-core concurrency contracts (shard streams close-on-exit, merge
-// drains, snapshots publish through atomic.Pointer).
+// module's concurrency contracts (the explorer's fork-join batches, the
+// load generator's job stream, the daemon's context-driven shutdown).
 func TestModuleConcSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the full module plus its stdlib closure")
@@ -39,11 +39,8 @@ func TestModuleConcSweep(t *testing.T) {
 		}
 	}
 	wantSpawns := map[string][]string{
-		modPath + "/internal/core.explorer.exploreParallel": {
-			modPath + "/internal/core.explorer.exploreParallel.func1",
-		},
-		modPath + "/internal/skyband.scanParallel": {
-			modPath + "/internal/skyband.shardScan.run",
+		modPath + "/internal/core.explorer.explore": {
+			modPath + "/internal/core.explorer.explore.func1",
 		},
 		modPath + "/cmd/ordload.loadgen.run": {
 			modPath + "/cmd/ordload.loadgen.run.func1",
@@ -95,72 +92,14 @@ func TestModuleConcSweep(t *testing.T) {
 		}
 		return false
 	}
-	hasAtomic := func(s *ConcSummary, kind AtomicOpKind, class, recv string) bool {
-		for _, op := range s.Atomics {
-			if op.Kind == kind && op.Class == class && op.Recv == recv {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Parallel frontier (internal/skyband): each shard worker streams
-	// surviving entries on its out channel, closes it at exit, polls done as
-	// its cancellation escape, and pre-prunes against the atomically
-	// published snapshot. The merge side drains out, closes done at exit,
-	// and publishes grown snapshots through the same atomic.Pointer.
-	run := cone(modPath + "/internal/skyband.shardScan.run")
-	if !hasChan(run, ChanClose, "out", true) {
-		t.Errorf("shardScan.run lost its deferred close of out; the merge's drain would block forever")
-	}
-	if !hasChan(run, ChanSend, "out", false) {
-		t.Errorf("shardScan.run no longer sends on out")
-	}
-	sendEscapesDone := false
-	for _, op := range run.Chans {
-		if op.Kind == ChanSend && op.Class == "out" {
-			for _, esc := range op.Escapes {
-				if esc == "done" {
-					sendEscapesDone = true
-				}
-			}
-		}
-	}
-	if !sendEscapesDone {
-		t.Errorf("shardScan.run's send on out lost its done select escape; early merge exit would strand the worker")
-	}
-	if !hasAtomic(run, AtomicLoad, "snap", "Pointer") {
-		t.Errorf("shardScan.run no longer pre-prunes against the published snapshot (atomic Load of snap)")
-	}
-
-	merge := cone(modPath + "/internal/skyband.scanParallel")
-	if !hasChan(merge, ChanClose, "done", true) {
-		t.Errorf("scanParallel lost its deferred close of done; workers would outlive the merge")
-	}
-	if !hasChan(merge, ChanRecv, "out", false) {
-		t.Errorf("scanParallel no longer drains the shard out streams")
-	}
-	if !hasAtomic(merge, AtomicStore, "snap", "Pointer") {
-		t.Errorf("scanParallel no longer publishes pruner snapshots (atomic Store of snap)")
-	}
-	bufferedOut := false
-	for _, op := range merge.Chans {
-		if op.Kind == ChanMake && op.Class == "out" && op.Buffered {
-			bufferedOut = true
-		}
-	}
-	if !bufferedOut {
-		t.Errorf("scanParallel's out channels are no longer buffered; workers would rendezvous with the merge on every record")
-	}
-
-	// Region partitioner (internal/core): the per-batch workers are counted
-	// by a WaitGroup the spawner Waits on, Done deferred.
-	part := cone(modPath + "/internal/core.explorer.exploreParallel.func1")
+	// Region explorer (internal/core): the per-batch partition workers are
+	// counted by a WaitGroup the spawner Waits on, Done deferred.
+	part := cone(modPath + "/internal/core.explorer.explore.func1")
 	if !hasWG(part, WGDone, "wg") {
-		t.Errorf("exploreParallel's partition worker no longer Dones wg")
+		t.Errorf("explore's partition worker no longer Dones wg")
 	}
-	if !hasWG(cone(modPath+"/internal/core.explorer.exploreParallel"), WGWait, "wg") {
-		t.Errorf("exploreParallel no longer Waits on its partition workers")
+	if !hasWG(cone(modPath+"/internal/core.explorer.explore"), WGWait, "wg") {
+		t.Errorf("explore no longer Waits on its partition workers")
 	}
 
 	// Load generator (cmd/ordload): workers range over the jobs stream and

@@ -123,8 +123,8 @@ type Config struct {
 //     (exploreWS.node/recycle) and the hull builder's facet pool
 //     (Builder.allocFacet/freeFacet);
 //   - ctxflow treats every function of internal/server plus the facade's
-//     ORDCtx/ORUCtx/ORUParallelCtx as entry points: whatever a request can
-//     reach must stay cancellable;
+//     ORDCtx/ORUCtx as entry points: whatever a request can reach must stay
+//     cancellable;
 //   - deepnoalloc accepts math, sort and sync/atomic as allocation-free
 //     stdlib destinations and skips geom.simplexFor, the documented
 //     per-dimension constant-cache fill;
@@ -142,11 +142,11 @@ type Config struct {
 //   - atomicmix runs everywhere; the module's counters are typed atomics,
 //     so the check guards against regressions to address-based mixing;
 //   - the concurrency layer (chanprotocol, wgbalance, sharedwrite) covers
-//     every package that spawns goroutines today — the parallel frontier
-//     (skyband), the preprocessing explorer (core), the query server and
-//     the live collection it guards, plus the load generator and daemon
-//     commands; atomicpub, like atomicmix, runs everywhere because a
-//     published snapshot is a module-wide contract;
+//     every package that spawns goroutines today — the batched region
+//     explorer (core), the query server and the live collection it guards,
+//     plus the load generator and daemon commands; atomicpub, like
+//     atomicmix, runs everywhere because a published snapshot is a
+//     module-wide contract;
 //   - the handle layer (handleprov, stridebound, genstale, narrowcast)
 //     covers the flat spatial core and every package that holds its
 //     integer handles — rtree (and the legacy oracle), collection,
@@ -186,9 +186,8 @@ func DefaultConfig(modulePath string) Config {
 			return pkgPath == modulePath || strings.HasPrefix(pkgPath, modulePath+"/")
 		},
 		GoroutineCapPackages: map[string]bool{
-			modulePath + "/internal/core":    true,
-			modulePath + "/internal/server":  true,
-			modulePath + "/internal/skyband": true,
+			modulePath + "/internal/core":   true,
+			modulePath + "/internal/server": true,
 		},
 		PooledTypes: map[string]bool{
 			modulePath + "/internal/core.regionNode": true,
@@ -202,9 +201,8 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/server": true,
 		},
 		CtxFlowEntryFuncs: map[string]bool{
-			modulePath + ".Dataset.ORDCtx":         true,
-			modulePath + ".Dataset.ORUCtx":         true,
-			modulePath + ".Dataset.ORUParallelCtx": true,
+			modulePath + ".Dataset.ORDCtx": true,
+			modulePath + ".Dataset.ORUCtx": true,
 		},
 		NoallocExternals: map[string]bool{
 			"math":        true,
@@ -245,7 +243,6 @@ func DefaultConfig(modulePath string) Config {
 		},
 		ConcPackages: map[string]bool{
 			modulePath + "/internal/core":       true,
-			modulePath + "/internal/skyband":    true,
 			modulePath + "/internal/server":     true,
 			modulePath + "/internal/collection": true,
 			modulePath + "/cmd/ordload":         true,
@@ -261,17 +258,17 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/narrow":       true,
 		},
 		HandleRuns: map[string]RunSpec{
-			rt + ".Tree.level":     {Index: HandleNode},
-			rt + ".Tree.count":     {Index: HandleNode},
-			rt + ".Tree.rseg":      {Index: HandleNode, Elem: HandleNode},
-			rt + ".Tree.ents":      {Index: HandleNode, Elem: HandleNode | HandleSlot, Stride: true},
-			rt + ".Tree.rects":     {Index: HandleNode, Stride: true},
-			rt + ".Tree.chunks":    {Index: HandleSlot},
-			rt + ".Tree.idAt":      {Index: HandleSlot},
-			rt + ".Tree.slotOf":    {Elem: HandleSlot},
-			rt + ".Tree.freeNodes": {Elem: HandleNode},
-			rt + ".Tree.freeSegs":  {Elem: HandleNode},
-			rt + ".Tree.freeSlots": {Elem: HandleSlot},
+			rt + ".Tree.level":         {Index: HandleNode},
+			rt + ".Tree.count":         {Index: HandleNode},
+			rt + ".Tree.rseg":          {Index: HandleNode, Elem: HandleNode},
+			rt + ".Tree.ents":          {Index: HandleNode, Elem: HandleNode | HandleSlot, Stride: true},
+			rt + ".Tree.rects":         {Index: HandleNode, Stride: true},
+			rt + ".Tree.chunks":        {Index: HandleSlot},
+			rt + ".Tree.idAt":          {Index: HandleSlot},
+			rt + ".Tree.slotOf":        {Elem: HandleSlot},
+			rt + ".Tree.freeNodes":     {Elem: HandleNode},
+			rt + ".Tree.freeSegs":      {Elem: HandleNode},
+			rt + ".Tree.freeSlots":     {Elem: HandleSlot},
 			col + ".Collection.chunks": {Index: HandleSlot},
 			col + ".Collection.idAt":   {Index: HandleSlot},
 			col + ".Collection.slotOf": {Elem: HandleSlot},
@@ -281,34 +278,34 @@ func DefaultConfig(modulePath string) Config {
 			rt + ".NodeRef": HandleNode,
 		},
 		HandleBoundFields: map[string]bool{
-			rt + ".Tree.dim":           true,
-			rt + ".Tree.fanout":        true,
-			rt + ".Tree.entCap":        true,
-			rt + ".Tree.count":         true,
-			col + ".Collection.dim":    true,
+			rt + ".Tree.dim":        true,
+			rt + ".Tree.fanout":     true,
+			rt + ".Tree.entCap":     true,
+			rt + ".Tree.count":      true,
+			col + ".Collection.dim": true,
 		},
 		HandleGenFields: map[string]bool{
 			modulePath + "/internal/server.namedDataset.gen": true,
 		},
 		HandleOwners: map[string]bool{
-			modulePath + ".Dataset":      true,
-			col + ".Collection":          true,
+			modulePath + ".Dataset":               true,
+			col + ".Collection":                   true,
 			modulePath + "/internal/skyband.Live": true,
-			rt + ".Tree":                 true,
-			rt + "/legacy.Tree":          true,
+			rt + ".Tree":                          true,
+			rt + "/legacy.Tree":                   true,
 		},
 		HandleStableViews: map[string]bool{
 			// Slot-backed vectors: the chunk storage never reallocates, so
 			// these views stay addressable across mutations (their
 			// coordinates may change — they track the live record).
-			rt + ".Tree.LeafPoint":    true,
-			rt + ".Tree.Point":        true,
-			rt + ".Tree.slotVec":      true,
-			col + ".Collection.Get":   true,
-			col + ".Collection.at":    true,
+			rt + ".Tree.LeafPoint":  true,
+			rt + ".Tree.Point":      true,
+			rt + ".Tree.slotVec":    true,
+			col + ".Collection.Get": true,
+			col + ".Collection.at":  true,
 			// Stable by construction: the tree pointer itself, and the
 			// Live's seed vector (fixed at construction).
-			col + ".Collection.Tree":             true,
+			col + ".Collection.Tree":                   true,
 			modulePath + "/internal/skyband.Live.Seed": true,
 		},
 	}

@@ -53,7 +53,7 @@ func readSnap(ptr *atomic.Pointer[snap]) int {
 	return s.k
 }
 
-// publishAppend mirrors the parallel pruner's contract: the published slice
+// publishAppend is an append-only publication contract: the published slice
 // header pins its visible length, so appending past that prefix never
 // mutates what a snapshot reader can see.
 func publishAppend(ptr *atomic.Pointer[snap], xs []int) {

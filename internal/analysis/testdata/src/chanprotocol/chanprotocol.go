@@ -133,8 +133,8 @@ func deferredDouble(c chan int) {
 	close(c)
 }
 
-// deferredClose is the producer idiom the parallel frontier uses: sends,
-// then a deferred close at exit.
+// deferredClose is the usual producer idiom: sends, then a deferred close
+// at exit.
 func deferredClose(c chan int) {
 	defer close(c)
 	c <- 1

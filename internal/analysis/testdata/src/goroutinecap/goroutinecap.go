@@ -61,8 +61,8 @@ func GoodPerIteration(nodes []*node) {
 	}
 }
 
-// GoodPerWorkerSlot indexes into a per-worker slice, the exploreParallel
-// idiom.
+// GoodPerWorkerSlot indexes into a per-worker slice, the batched
+// explorer's idiom.
 func GoodPerWorkerSlot(wss []*Workspace, jobs []int) {
 	for i := range jobs {
 		i := i

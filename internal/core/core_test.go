@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -63,19 +64,19 @@ func TestORDValidation(t *testing.T) {
 	pts := randPoints(rng, 50, 3)
 	tr := rtree.BulkLoad(pts)
 	w := geom.Vector{0.3, 0.3, 0.4}
-	if _, err := ORD(tr, w, 5, 3); err == nil {
+	if _, err := ORDCtx(context.Background(), tr, w, 5, 3); err == nil {
 		t.Error("m < k accepted")
 	}
-	if _, err := ORD(tr, geom.Vector{0.5, 0.5}, 1, 5); err == nil {
+	if _, err := ORDCtx(context.Background(), tr, geom.Vector{0.5, 0.5}, 1, 5); err == nil {
 		t.Error("wrong-dimension seed accepted")
 	}
-	if _, err := ORD(tr, w, 0, 5); err == nil {
+	if _, err := ORDCtx(context.Background(), tr, w, 0, 5); err == nil {
 		t.Error("k = 0 accepted")
 	}
-	if _, err := ORD(rtree.New(3), w, 1, 5); err == nil {
+	if _, err := ORDCtx(context.Background(), rtree.New(3), w, 1, 5); err == nil {
 		t.Error("empty dataset accepted")
 	}
-	if _, err := ORD(tr, w, 1, 10000); err != ErrInsufficientData {
+	if _, err := ORDCtx(context.Background(), tr, w, 1, 10000); err != ErrInsufficientData {
 		t.Errorf("oversized m: err = %v", err)
 	}
 }
@@ -89,7 +90,7 @@ func TestORDOutputSizeAndRadii(t *testing.T) {
 			w := geom.RandSimplex(rng, d)
 			sb := maxM(tr, k)
 			for _, m := range []int{k, (k + sb) / 2, sb} {
-				res, err := ORD(tr, w, k, m)
+				res, err := ORDCtx(context.Background(), tr, w, k, m)
 				if err != nil {
 					t.Fatalf("d=%d k=%d m=%d: %v", d, k, m, err)
 				}
@@ -122,7 +123,7 @@ func TestORDMatchesBSL(t *testing.T) {
 		if sb := maxM(tr, k); m > sb {
 			m = sb
 		}
-		fast, err := ORD(tr, w, k, m)
+		fast, err := ORDCtx(context.Background(), tr, w, k, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +158,7 @@ func TestORDIsRhoSkyband(t *testing.T) {
 		if sb := maxM(tr, k); m > sb {
 			m = sb
 		}
-		res, err := ORD(tr, w, k, m)
+		res, err := ORDCtx(context.Background(), tr, w, k, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,11 +200,14 @@ func TestORDMinimality(t *testing.T) {
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, 3)
 	k, m := 2, 20
-	res, err := ORD(tr, w, k, m)
+	res, err := ORDCtx(context.Background(), tr, w, k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	below := skyband.RhoSkyband(tr, w, k, res.Rho*(1-1e-9))
+	below, err := skyband.RhoSkybandCtx(context.Background(), tr, w, k, res.Rho*(1-1e-9))
+	if err != nil {
+		t.Fatal(err)
+	}
 	// At radius just below (and at) rho, the record with inflection radius
 	// rho is not yet a member.
 	if len(below) >= m {
@@ -217,7 +221,7 @@ func TestORDTopKAlwaysIncluded(t *testing.T) {
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, 4)
 	k, m := 5, 30
-	res, err := ORD(tr, w, k, m)
+	res, err := ORDCtx(context.Background(), tr, w, k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +252,7 @@ func TestORDNestedInM(t *testing.T) {
 	k := 3
 	prev := map[int]bool{}
 	for _, m := range []int{3, 10, 20, 35} {
-		res, err := ORD(tr, w, k, m)
+		res, err := ORDCtx(context.Background(), tr, w, k, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,12 +273,12 @@ func TestORUValidationAndSize(t *testing.T) {
 	pts := antiPoints(rng, 300, 3)
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, 3)
-	if _, err := ORU(tr, w, 5, 3); err == nil {
+	if _, err := ORUWithCtx(context.Background(), tr, w, 5, 3, ORUOptions{}); err == nil {
 		t.Error("m < k accepted")
 	}
 	for _, k := range []int{1, 2, 4} {
 		for _, m := range []int{k, k + 5, 20} {
-			res, err := ORU(tr, w, k, m)
+			res, err := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
 			if err != nil {
 				t.Fatalf("k=%d m=%d: %v", k, m, err)
 			}
@@ -294,7 +298,7 @@ func TestORUContainsTopK(t *testing.T) {
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, 3)
 	k, m := 3, 12
-	res, err := ORU(tr, w, k, m)
+	res, err := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +334,7 @@ func TestORURegionsAreCorrect(t *testing.T) {
 		var res *ORUResult
 		var err error
 		for m := k + 8; m >= k; m-- {
-			res, err = ORU(tr, w, k, m)
+			res, err = ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
 			if err == nil {
 				break
 			}
@@ -381,7 +385,7 @@ func TestORUMatchesSampledReference(t *testing.T) {
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, d)
 	k, m := 2, 10
-	res, err := ORU(tr, w, k, m)
+	res, err := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +422,7 @@ func TestORUMatchesBSLOnSmallInputs(t *testing.T) {
 		tr := rtree.BulkLoad(pts)
 		w := geom.RandSimplex(rng, d)
 		k, m := 2, 10
-		fast, err := ORU(tr, w, k, m)
+		fast, err := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,7 +451,7 @@ func TestORUExtremeK1M1(t *testing.T) {
 	pts := randPoints(rng, 200, 3)
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, 3)
-	res, err := ORU(tr, w, 1, 1)
+	res, err := ORUWithCtx(context.Background(), tr, w, 1, 1, ORUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -474,11 +478,11 @@ func TestORUDeterministic(t *testing.T) {
 	pts := randPoints(rng, 150, 3)
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, 3)
-	a, err := ORU(tr, w, 2, 8)
+	a, err := ORUWithCtx(context.Background(), tr, w, 2, 8, ORUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ORU(tr, w, 2, 8)
+	b, err := ORUWithCtx(context.Background(), tr, w, 2, 8, ORUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

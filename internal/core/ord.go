@@ -34,7 +34,7 @@ func (c cand) Less(o cand) bool {
 	return c.rec.ID > o.rec.ID
 }
 
-// ORD computes the paper's first operator (Definition 1): the records
+// ORDCtx computes the paper's first operator (Definition 1): the records
 // rho-dominated by fewer than k others for the minimum radius rho around w
 // that yields exactly m records.
 //
@@ -43,14 +43,9 @@ func (c cand) Less(o cand) bool {
 // switches to adaptive rho-bar-dominance once m+1 candidates have been
 // fetched; rho-bar (the largest inflection radius among the best m
 // candidates) shrinks as better candidates arrive, making the retrieval
-// increasingly selective until the heap dries up.
-func ORD(tree *rtree.Tree, w geom.Vector, k, m int) (*ORDResult, error) {
-	return ORDCtx(context.Background(), tree, w, k, m)
-}
-
-// ORDCtx is ORD with cooperative cancellation: the progressive retrieval
-// polls ctx every few fetches and aborts with an error wrapping ctx.Err()
-// once the context is done.
+// increasingly selective until the heap dries up. The retrieval polls ctx
+// every few fetches and aborts with an error wrapping ctx.Err() once the
+// context is done.
 func ORDCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*ORDResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
@@ -136,7 +131,10 @@ func ORDBSL(tree *rtree.Tree, w geom.Vector, k, m int) (*ORDResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
 	}
-	members := skyband.KSkybandFor(tree, w, k)
+	members, err := skyband.KSkybandForCtx(context.Background(), tree, w, k)
+	if err != nil {
+		return nil, err
+	}
 	if len(members) < m {
 		return nil, ErrInsufficientData
 	}

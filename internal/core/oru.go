@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"ordu/internal/geom"
 	"ordu/internal/hull"
@@ -37,17 +40,25 @@ type regionNode struct {
 	deepest int // deepest layer index among the top records
 	mindist float64
 	witness geom.Vector // the point of the region closest to the seed
-	seq     int         // FIFO tie-break for deterministic exploration
 	exact   bool        // mindist is the region's true mindist, not a bound
+	final   bool        // candidates ran out inside the region: top is final
 }
 
-// Less orders the exploration min-heap by mindist, with the FIFO sequence
-// number as a deterministic tie-break (exact comparison of stored keys).
+// Less orders the exploration min-heap by mindist (exact comparison of
+// stored keys), ties going to the lexicographically smaller top list. Each
+// node of the implicit tree has its own top list and a child's extends its
+// parent's, so the order is total, and it does not depend on when — or in
+// which batch — a node was pushed.
 func (n *regionNode) Less(o *regionNode) bool {
 	if n.mindist != o.mindist { //ordlint:allow floatcmp — tie-break on stored keys
 		return n.mindist < o.mindist
 	}
-	return n.seq < o.seq
+	for i := 0; i < len(n.top) && i < len(o.top); i++ {
+		if n.top[i] != o.top[i] {
+			return n.top[i] < o.top[i]
+		}
+	}
+	return len(n.top) < len(o.top)
 }
 
 // exploreWS is the per-worker scratch of the region search: the QP-backed
@@ -71,8 +82,8 @@ type exploreWS struct {
 	// the same workspace, which reuses it.
 	kids []*regionNode
 	free []*regionNode
-	hb      *hull.Builder    // pooled L_upd hull builder (Reset per partition)
-	upd     hull.AdjSnapshot // pooled L_upd members+adjacency extraction
+	hb   *hull.Builder    // pooled L_upd hull builder (Reset per partition)
+	upd  hull.AdjSnapshot // pooled L_upd members+adjacency extraction
 }
 
 // node returns a recycled regionNode (fields reset, buffers retained) or a
@@ -98,6 +109,7 @@ func (ws *exploreWS) recycle(n *regionNode) {
 	}
 	n.reg = region.Region{}
 	n.top = n.top[:0]
+	n.final = false
 	ws.free = append(ws.free, n)
 }
 
@@ -113,9 +125,13 @@ type explorer struct {
 	h      xheap.Heap[*regionNode]
 	pushed map[int]bool   // layer-0 members whose top-region was pushed
 	clip   *region.Region // nil: unrestricted (ball mode)
-	seq    int
 	stats  Stats
-	ws     exploreWS // main-goroutine scratch (sequential partition, push)
+	ws     exploreWS // main-goroutine scratch (batch slot 0, push, resolve)
+	width  int       // regions partitioned per batch: GOMAXPROCS at construction
+	// ahead holds the heap keys (mindist and top list) of partitioned
+	// regions that joined a batch behind its first and that no finalization
+	// has passed yet: the speculative partitions, should the search stop now.
+	ahead []regionNode
 
 	outSet   map[int]bool
 	records  []Record
@@ -139,6 +155,7 @@ func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Regi
 		pushed: make(map[int]bool),
 		clip:   clip,
 		outSet: make(map[int]bool),
+		width:  runtime.GOMAXPROCS(0),
 	}
 }
 
@@ -257,8 +274,6 @@ func (e *explorer) push(n *regionNode) {
 	if !e.resolve(n) {
 		return
 	}
-	n.seq = e.seq
-	e.seq++
 	e.h.Push(n)
 }
 
@@ -266,14 +281,12 @@ func (e *explorer) push(n *regionNode) {
 // valid lower bound, since the child region is a subset of the parent's.
 // The exact mindist (one projection QP) is deferred to the moment the node
 // is actually popped; nodes still in the heap when the search stops never
-// pay for it. Re-pushing on resolution keeps the node's original sequence
-// number, so the exact-key pop order (and hence all output) is identical to
-// the eager strategy, ties included.
+// pay for it. The heap's tie-break is the node's own top list, so the
+// exact-key pop order (and hence all output) is identical to the eager
+// strategy, ties included.
 func (e *explorer) pushBound(n *regionNode, bound float64) {
 	n.mindist = bound
 	n.exact = false
-	n.seq = e.seq
-	e.seq++
 	e.h.Push(n)
 }
 
@@ -281,58 +294,139 @@ func (e *explorer) pushBound(n *regionNode, bound float64) {
 // that many distinct records are confirmed; with targetM == 0 it exhausts
 // the heap (clip mode / full enumeration). It reports whether the target
 // was reached (always true for targetM == 0 unless the budget tripped).
+//
+// Up to e.width regions are partitioned concurrently, the parallelisation
+// of Section 6.4: finding the next-ranked records in one region is
+// independent of every other region. Partitioning emits no output; only
+// finalizations (Case 2) must follow global mindist order. The loop
+// therefore batches the open (Case-1) regions at the heap top and drains
+// the whole batch, pushing every child, before the next final region is
+// popped. At width 1 it is the one-pop-at-a-time best-first loop.
+//
+// A batch may partition a region that the one-at-a-time order would not
+// have reached before the answer completed. Such speculative partitions
+// never materialise a hull layer (see joins) and are left out of
+// RegionsPartitioned (see finalize), so output and Stats are the same at
+// every width.
 func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err error) {
+	// One exploreWS per batch slot, so concurrent partitions never share
+	// scratch; slot 0 runs on this goroutine with the main workspace.
+	slots := make([]*exploreWS, e.width)
+	slots[0] = &e.ws
+	for i := 1; i < len(slots); i++ {
+		slots[i] = &exploreWS{}
+	}
+	batch := make([]*regionNode, 0, e.width)
+	children := make([][]*regionNode, e.width)
 	for e.h.Len() > 0 {
 		if err := ctxErr(ctx); err != nil {
 			return false, err
 		}
-		n := e.h.Pop()
-		if !n.exact {
-			// Bound-keyed child: compute the real mindist and re-insert
-			// (or drop the node when its region turns out empty).
-			if e.resolve(n) {
-				e.h.Push(n)
+		batch = batch[:0]
+		for len(batch) < e.width && e.h.Len() > 0 && e.joins(*e.h.Peek(), batch) {
+			if n := e.pop(); n != nil {
+				batch = append(batch, n)
+			}
+		}
+		if len(batch) == 0 {
+			if e.h.Len() == 0 {
+				break // the last regions popped were empty
+			}
+			// The heap top is a final (Case-2) region.
+			if n := e.pop(); n != nil {
+				e.finalize(n)
+				if targetM > 0 && len(e.records) >= targetM {
+					e.stats.RegionsPartitioned -= len(e.ahead)
+					return true, nil
+				}
 			}
 			continue
 		}
-		if len(n.top) == 1 {
-			// Lazily extend the root level along layer-0 adjacency whenever
-			// a top-1 region is popped — including under k = 1, where the
-			// region is also finalized immediately.
-			l0 := e.layers.Layer(0)
-			for _, a := range l0.Adj[n.top[0]] {
-				e.pushL1(a)
-			}
-		}
-		if len(n.top) >= e.k {
-			e.finalize(n)
-			if targetM > 0 && len(e.records) >= targetM {
-				return true, nil
-			}
-			continue
-		}
-		if e.budget > 0 && e.stats.RegionsPartitioned >= e.budget {
+		if e.budget > 0 && e.stats.RegionsPartitioned+len(batch) > e.budget {
 			return false, ErrBudgetExceeded
 		}
-		e.stats.RegionsPartitioned++
-		children := e.partition(n, &e.ws)
-		if children == nil {
-			// Candidates exhausted inside this region: the top list cannot
-			// grow further; finalize it short (only possible when the
-			// candidate set is smaller than k).
-			e.finalize(n)
-			if targetM > 0 && len(e.records) >= targetM {
-				return true, nil
-			}
-			continue
+		e.stats.RegionsPartitioned += len(batch)
+		// Materialise every layer a batched partition may read up front, so
+		// the partitions only read shared explorer state. Nodes recycled on
+		// this goroutine collect in e.ws.free; each helper slot takes a
+		// share, so its children come from the pool too.
+		deepest := 0
+		for _, n := range batch {
+			deepest = max(deepest, n.deepest)
 		}
-		bound := n.mindist
-		e.ws.recycle(n) // children re-derive everything they need
-		for _, c := range children {
-			e.pushBound(c, bound)
+		e.layers.Layer(deepest + 1) // nil past the last layer; that is fine
+		share := len(e.ws.free) / len(batch)
+		for _, ws := range slots[1:len(batch)] {
+			keep := len(e.ws.free) - share
+			ws.free = append(ws.free, e.ws.free[keep:]...)
+			e.ws.free = e.ws.free[:keep]
+		}
+		var wg sync.WaitGroup
+		for i := 1; i < len(batch); i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				children[i] = e.partition(batch[i], slots[i])
+			}(i)
+		}
+		children[0] = e.partition(batch[0], slots[0])
+		wg.Wait()
+		for i, n := range batch {
+			if i > 0 {
+				e.ahead = append(e.ahead, regionNode{mindist: n.mindist, top: slices.Clone(n.top)})
+			}
+			if children[i] == nil {
+				// Candidates exhausted inside this region: the top list
+				// cannot grow further (only possible when the candidate set
+				// is smaller than k). Re-queue it, keeping its key, to be
+				// finalized short in mindist order.
+				n.final = true
+				e.h.Push(n)
+				continue
+			}
+			bound := n.mindist
+			e.ws.recycle(n) // children re-derive everything they need
+			for _, c := range children[i] {
+				e.pushBound(c, bound)
+			}
 		}
 	}
 	return targetM == 0, nil
+}
+
+// joins reports whether the heap top n may join the batch being collected.
+// Only open regions (top list shorter than k, candidates not exhausted)
+// are partitioned. Past the first, a region joins only if the hull layer
+// its partition reads is one the first region's partition materialises
+// anyway or one already computed.
+func (e *explorer) joins(n *regionNode, batch []*regionNode) bool {
+	if n.final || len(n.top) >= e.k {
+		return false
+	}
+	return len(batch) == 0 || n.deepest <= batch[0].deepest || n.deepest+1 < e.layers.Computed()
+}
+
+// pop removes the heap top. A bound-keyed child is resolved to its exact
+// mindist and re-inserted (or dropped when its region turns out empty),
+// and pop returns nil. An exact node is returned — a pooled node, the
+// caller's until it finalizes or recycles it; a top-1 region first extends
+// the root level lazily along its layer-0 adjacency — under k = 1 too,
+// where the region is also finalized immediately.
+func (e *explorer) pop() *regionNode {
+	n := e.h.Pop()
+	if !n.exact {
+		if e.resolve(n) {
+			e.h.Push(n)
+		}
+		return nil
+	}
+	if len(n.top) == 1 {
+		l0 := e.layers.Layer(0)
+		for _, a := range l0.Adj[n.top[0]] {
+			e.pushL1(a)
+		}
+	}
+	return n
 }
 
 // partition applies Theorem 1 to a popped region: the next-ranked record
@@ -532,9 +626,12 @@ func witnessInside(w geom.Vector, hs []region.Halfspace) bool {
 // recycles the node. The retained TopKRegion keeps n.reg's constraint rows
 // by reference, so the node's pooled buffers are detached (left to the
 // output) before the node returns to the free list; the next region built
-// on the recycled node simply grows fresh buffers.
+// on the recycled node simply grows fresh buffers. Batched partitions that
+// order no later than n in the heap are ones the one-at-a-time order
+// reaches before n, so they leave e.ahead.
 func (e *explorer) finalize(n *regionNode) {
 	e.stats.RegionsFinalized++
+	e.ahead = slices.DeleteFunc(e.ahead, func(a regionNode) bool { return !n.Less(&a) })
 	tk := make([]Record, len(n.top))
 	for i, id := range n.top {
 		tk[i] = Record{ID: id, Point: e.layers.Point(id)}
@@ -580,28 +677,6 @@ func estimateRhoBar(ctx context.Context, tree *rtree.Tree, w geom.Vector, target
 	}
 }
 
-// ORU computes the paper's second operator (Definition 2): the records in
-// the top-k result of at least one preference vector within distance rho of
-// w, for the minimum rho yielding exactly m records — reporting, as a
-// by-product, every order-sensitive top-k result with its region.
-//
-// This is the complete algorithm of Section 5.3: rho-bar estimation via the
-// incremental rho-skyline, candidate restriction to the rho-bar-skyband,
-// and best-first exploration of the implicit region tree with lazily
-// computed upper-hull layers. Should the estimate ever prove too small
-// (possible only on degenerate inputs), the estimation target is doubled
-// and the search restarted, preserving exactness.
-func ORU(tree *rtree.Tree, w geom.Vector, k, m int) (*ORUResult, error) {
-	return ORUWithCtx(context.Background(), tree, w, k, m, ORUOptions{})
-}
-
-// ORUCtx is ORU with cooperative cancellation: the rho-bar estimation, the
-// candidate retrieval and the best-first exploration all poll ctx and abort
-// with an error wrapping ctx.Err() once it is done.
-func ORUCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*ORUResult, error) {
-	return ORUWithCtx(ctx, tree, w, k, m, ORUOptions{})
-}
-
 // ORUOptions tune the complete ORU algorithm; the zero value is the
 // configuration evaluated in the paper.
 type ORUOptions struct {
@@ -609,18 +684,23 @@ type ORUOptions struct {
 	// partitioning (used by the ablation benchmarks): every partitioning
 	// builds an explicit L_upd upper hull.
 	NoPartitionBypass bool
-	// Workers > 1 partitions regions concurrently — the parallelisation
-	// direction of Section 6.4. The output is identical to the sequential
-	// algorithm; only wall-clock changes.
-	Workers int
 }
 
-// ORUWith is ORU with explicit algorithm options.
-func ORUWith(tree *rtree.Tree, w geom.Vector, k, m int, opts ORUOptions) (*ORUResult, error) {
-	return ORUWithCtx(context.Background(), tree, w, k, m, opts)
-}
-
-// ORUWithCtx is ORUWith with cooperative cancellation (see ORUCtx).
+// ORUWithCtx computes the paper's second operator (Definition 2): the
+// records in the top-k result of at least one preference vector within
+// distance rho of w, for the minimum rho yielding exactly m records —
+// reporting, as a by-product, every order-sensitive top-k result with its
+// region.
+//
+// This is the complete algorithm of Section 5.3: rho-bar estimation via the
+// incremental rho-skyline, candidate restriction to the rho-bar-skyband,
+// and best-first exploration of the implicit region tree with lazily
+// computed upper-hull layers, partitioning GOMAXPROCS regions at a time.
+// Should the estimate ever prove too small (possible only on degenerate
+// inputs), the estimation target is doubled and the search restarted,
+// preserving exactness. The rho-bar estimation, the candidate retrieval and
+// the exploration all poll ctx and abort with an error wrapping ctx.Err()
+// once it is done.
 func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, opts ORUOptions) (*ORUResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
@@ -639,13 +719,7 @@ func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, 
 		ex.noBypass = opts.NoPartitionBypass
 		ex.stats.Fetched = fetched + len(cands)
 		if ex.seed() {
-			var complete bool
-			var exErr error
-			if opts.Workers > 1 {
-				complete, exErr = ex.exploreParallel(ctx, m, opts.Workers)
-			} else {
-				complete, exErr = ex.explore(ctx, m)
-			}
+			complete, exErr := ex.explore(ctx, m)
 			if exErr != nil {
 				return nil, exErr
 			}
@@ -706,7 +780,10 @@ func ORUBSL(tree *rtree.Tree, w geom.Vector, k, m int, budget int) (*ORUResult, 
 	if err != nil {
 		return nil, err
 	}
-	cands := skyband.RhoSkyband(tree, w, k, rhoBar)
+	cands, err := skyband.RhoSkybandCtx(context.Background(), tree, w, k, rhoBar)
+	if err != nil {
+		return nil, err
+	}
 	ex := newExplorer(cands, w, k, nil)
 	ex.stats.Fetched = fetched + len(cands)
 	ex.budget = budget
@@ -733,15 +810,12 @@ func ORUBSL(tree *rtree.Tree, w geom.Vector, k, m int, budget int) (*ORUResult, 
 	seen := map[int]bool{}
 	for _, reg := range ex.regions {
 		res.Regions = append(res.Regions, reg)
-		added := false
 		for _, r := range reg.TopK {
 			if !seen[r.ID] {
 				seen[r.ID] = true
 				res.Records = append(res.Records, r)
-				added = true
 			}
 		}
-		_ = added
 		res.Rho = reg.MinDist
 		if len(res.Records) >= m {
 			break

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,8 +23,8 @@ func TestORUPartitionBypassEquivalence(t *testing.T) {
 		tr := rtree.BulkLoad(pts)
 		w := geom.RandSimplex(rng, d)
 		k, m := 1+trial%3, 8+trial
-		a, errA := ORUWith(tr, w, k, m, ORUOptions{})
-		b, errB := ORUWith(tr, w, k, m, ORUOptions{NoPartitionBypass: true})
+		a, errA := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
+		b, errB := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{NoPartitionBypass: true})
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: error mismatch %v vs %v", trial, errA, errB)
 		}
@@ -56,7 +57,10 @@ func TestEnumerateWithinWholeDomain(t *testing.T) {
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, d)
 	k := 2
-	cands := skyband.KSkybandFor(tr, w, k)
+	cands, err := skyband.KSkybandForCtx(context.Background(), tr, w, k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	members := make([]skyband.Member, len(cands))
 	copy(members, cands)
 	recs, regions, err := EnumerateWithin(members, w, k, region.Full(d))
@@ -72,7 +76,7 @@ func TestEnumerateWithinWholeDomain(t *testing.T) {
 	if m > 20 {
 		m = 20
 	}
-	res, err := ORU(tr, w, k, m)
+	res, err := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func TestORDQuickProperties(t *testing.T) {
 		if m < k {
 			return true
 		}
-		res, err := ORD(tr, w, k, m)
+		res, err := ORDCtx(context.Background(), tr, w, k, m)
 		if err != nil {
 			return false
 		}
@@ -166,7 +170,7 @@ func TestORURhoMonotoneInM(t *testing.T) {
 	k := 2
 	prev := -1.0
 	for _, m := range []int{2, 5, 8, 12, 16} {
-		res, err := ORU(tr, w, k, m)
+		res, err := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +190,7 @@ func TestORDRhoMonotoneInM(t *testing.T) {
 	k := 2
 	prev := -1.0
 	for _, m := range []int{2, 5, 10, 20, 30} {
-		res, err := ORD(tr, w, k, m)
+		res, err := ORDCtx(context.Background(), tr, w, k, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,14 +208,14 @@ func TestORDStatsPopulated(t *testing.T) {
 	pts := antiPoints(rng, 300, 3)
 	tr := rtree.BulkLoad(pts)
 	w := geom.RandSimplex(rng, 3)
-	res, err := ORD(tr, w, 2, 10)
+	res, err := ORDCtx(context.Background(), tr, w, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Fetched == 0 || res.Stats.HeapPops == 0 {
 		t.Fatalf("stats empty: %+v", res.Stats)
 	}
-	oru, err := ORU(tr, w, 2, 10)
+	oru, err := ORUWithCtx(context.Background(), tr, w, 2, 10, ORUOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,9 @@ type Stats struct {
 	Fetched int
 	// HeapPops counts branch-and-bound heap pops (node accesses).
 	HeapPops int
-	// RegionsPartitioned counts Theorem-1 partitionings (ORU only).
+	// RegionsPartitioned counts Theorem-1 partitionings (ORU only): those
+	// the best-first order reaches before the answer is complete, whatever
+	// extra regions a concurrent batch partitioned ahead of that point.
 	RegionsPartitioned int
 	// RegionsFinalized counts finalized top-k regions (ORU only).
 	RegionsFinalized int

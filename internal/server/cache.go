@@ -18,8 +18,7 @@ import (
 const wQuantum = 1e-4
 
 // cacheKey identifies a query result: operator, dataset generation,
-// quantized seed, k and m. Workers is deliberately excluded — parallel and
-// sequential ORU return identical results.
+// quantized seed, k and m.
 func cacheKey(op, dataset string, gen uint64, w []float64, k, m int) string {
 	var b strings.Builder
 	b.WriteString(op)

@@ -205,7 +205,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, op string) 
 			resp = NewORDResponse(res)
 		}
 	case "oru":
-		res, qerr := nd.ds.ORUParallelCtx(ctx, req.W, req.K, req.M, req.Workers) //ordlint:allow lockhold — reader lock by design: ORUParallelCtx returns borrows the lock must cover; see the ORD arm above
+		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockhold — reader lock by design: ORUCtx returns borrows the lock must cover; see the ORD arm above
 		if qerr != nil {
 			err = qerr
 		} else {

@@ -105,15 +105,19 @@ func TestQueryORUHappyPath(t *testing.T) {
 			t.Fatalf("region %d witness %v", i, reg.Witness)
 		}
 	}
-	// Parallel partitioning returns the identical result.
-	par := do(t, s.Handler(), "POST", "/query/oru",
+	// Older clients may still send a "workers" field. The server ignores
+	// it: same status, same bytes, served from the same cache entry.
+	old := do(t, s.Handler(), "POST", "/query/oru",
 		`{"dataset":"main","w":[0.3,0.3,0.4],"k":2,"m":10,"workers":4}`)
-	if par.Code != http.StatusOK {
-		t.Fatalf("parallel status %d", par.Code)
+	if old.Code != http.StatusOK {
+		t.Fatalf("status with workers field %d: %s", old.Code, old.Body.String())
 	}
-	if par.Header().Get("X-Cache") != "HIT" {
-		// workers is excluded from the cache key on purpose.
-		t.Fatal("parallel run with same (w,k,m) should hit the cache")
+	if old.Header().Get("X-Cache") != "HIT" || s.cache.Len() != 1 {
+		t.Fatalf("workers field missed the cache entry (X-Cache %q, %d entries)",
+			old.Header().Get("X-Cache"), s.cache.Len())
+	}
+	if !bytes.Equal(old.Body.Bytes(), rec.Body.Bytes()) {
+		t.Fatal("workers field changed the response body")
 	}
 }
 
@@ -388,7 +392,7 @@ func TestConcurrentQueries(t *testing.T) {
 			if g%2 == 1 {
 				op = "oru"
 			}
-			body := fmt.Sprintf(`{"dataset":"main","w":[%g,%g,%g],"k":2,"m":8,"workers":2}`,
+			body := fmt.Sprintf(`{"dataset":"main","w":[%g,%g,%g],"k":2,"m":8}`,
 				w[0], w[1], w[2])
 			for i := 0; i < 3; i++ {
 				rec := do(t, s.Handler(), "POST", "/query/"+op, body)

@@ -24,9 +24,6 @@ type QueryRequest struct {
 	K int `json:"k"`
 	// M is the required output size.
 	M int `json:"m"`
-	// Workers > 1 enables parallel region partitioning (ORU only; the
-	// result is identical to the sequential run).
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMS overrides the server's default per-request deadline,
 	// capped at the server's maximum.
 	TimeoutMS int `json:"timeout_ms,omitempty"`

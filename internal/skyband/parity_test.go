@@ -184,7 +184,7 @@ func TestRhoSkybandParityVsLegacy(t *testing.T) {
 	lt := legacy.BulkLoad(pts)
 	w := geom.Vector{0.5, 0.3, 0.2}
 	for _, rho := range []float64{0.05, 0.2} {
-		got := RhoSkyband(ft, w, 3, rho)
+		got := rhoSkyband(t, ft, w, 3, rho)
 		or := newOracleScanner(lt, w)
 		pr := NewRhoPruner(w, 3)
 		pr.Rho = rho

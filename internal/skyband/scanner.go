@@ -31,11 +31,7 @@ type scanEntry struct {
 // lexicographically larger point, then nodes before records, then smaller
 // id — extend the comparison to a strict total order on records, so the
 // emission sequence of a scan is a property of the dataset alone, not of
-// heap internals. That is what lets the sharded parallel frontier
-// (parallel.go) merge per-subtree streams back into the exact sequential
-// order: a node always sorts no later than anything in its subtree (its
-// top corner weakly dominates every descendant point), so each shard's
-// record stream is already emitted in this total order.
+// heap internals.
 func (e scanEntry) Less(o scanEntry) bool {
 	if e.score != o.score { //ordlint:allow floatcmp — tie-break on stored keys
 		return e.score > o.score

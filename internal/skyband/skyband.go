@@ -25,42 +25,18 @@ func KSkyband(tree *rtree.Tree, k int) []Member {
 	for i := range w {
 		w[i] = 1 / float64(d)
 	}
-	return KSkybandFor(tree, w, k)
-}
-
-// KSkybandFor computes the k-skyband visiting entries in decreasing score
-// for the given seed; the result set is independent of the seed, but the
-// emission order follows it. The seed's zero components are handled by the
-// scanner's coordinate-sum tie-break.
-func KSkybandFor(tree *rtree.Tree, w geom.Vector, k int) []Member {
 	out, _ := KSkybandForCtx(context.Background(), tree, w, k) //ordlint:allow senterr — context.Background never cancels, so the error is structurally nil
 	return out
 }
 
-// KSkybandForCtx is KSkybandFor with cooperative cancellation: the retrieval
-// polls ctx every few fetches and aborts with an error wrapping ctx.Err()
-// once the context is done. A k-skyband scan visits the whole index in the
-// worst case, so baselines driving it on behalf of a server request need the
-// same deadline responsiveness as the rho-skyband retrieval.
+// KSkybandForCtx computes the k-skyband visiting entries in decreasing
+// score for the given seed; the result set is independent of the seed, but
+// the emission order follows it. The seed's zero components are handled by
+// the scanner's coordinate-sum tie-break. A k-skyband scan visits the whole
+// index in the worst case, so the retrieval polls ctx every few fetches and
+// aborts with an error wrapping ctx.Err() once the context is done.
 func KSkybandForCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k int) ([]Member, error) {
-	sc := NewScanner(tree, w)
-	pr := NewSkybandPruner(k)
-	var out []Member
-	for i := 0; ; i++ {
-		if i%64 == 0 {
-			select {
-			case <-ctx.Done():
-				return nil, fmt.Errorf("skyband: retrieval cancelled: %w", ctx.Err())
-			default:
-			}
-		}
-		id, p, ok := sc.Next(pr)
-		if !ok {
-			return out, nil
-		}
-		pr.Add(p)
-		out = append(out, Member{ID: id, Point: p})
-	}
+	return scan(ctx, tree, w, NewSkybandPruner(k))
 }
 
 // Skyline computes the traditional skyline (the 1-skyband).
@@ -68,24 +44,27 @@ func Skyline(tree *rtree.Tree) []Member {
 	return KSkyband(tree, 1)
 }
 
-// RhoSkyband computes the rho-skyband for a fixed radius rho around w: the
-// records rho-dominated by fewer than k others (Definition of Section 3).
-// It is the building block the complete ORD algorithm improves upon, and
-// the reference the tests validate ORD against.
-func RhoSkyband(tree *rtree.Tree, w geom.Vector, k int, rho float64) []Member {
-	out, _ := RhoSkybandCtx(context.Background(), tree, w, k, rho) //ordlint:allow senterr — context.Background never cancels, so the error is structurally nil
-	return out
-}
-
-// RhoSkybandCtx is RhoSkyband with cooperative cancellation: the retrieval
-// polls ctx every few fetches and aborts with an error wrapping ctx.Err()
-// once the context is done. The rho-skyband can hold a large fraction of an
-// anticorrelated dataset, making this the longest single phase of ORU — the
-// polling keeps per-request deadlines responsive.
+// RhoSkybandCtx computes the rho-skyband for a fixed radius rho around w:
+// the records rho-dominated by fewer than k others (Definition of Section
+// 3). It is the building block the complete ORD algorithm improves upon,
+// and the reference the tests validate ORD against. The rho-skyband can
+// hold a large fraction of an anticorrelated dataset, making this the
+// longest single phase of ORU, so the retrieval polls ctx every few fetches
+// and aborts with an error wrapping ctx.Err() once the context is done.
 func RhoSkybandCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k int, rho float64) ([]Member, error) {
-	sc := NewScanner(tree, w)
 	pr := NewRhoPruner(w, k)
 	pr.Rho = rho
+	return scan(ctx, tree, w, pr)
+}
+
+// scan emits every record surviving pr in decreasing score for w,
+// registering each with pr as it goes: the one scan loop of both skyband
+// kinds.
+func scan(ctx context.Context, tree *rtree.Tree, w geom.Vector, pr interface {
+	Pruner
+	Add(p geom.Vector)
+}) ([]Member, error) {
+	sc := NewScanner(tree, w)
 	var out []Member
 	for i := 0; ; i++ {
 		if i%64 == 0 {

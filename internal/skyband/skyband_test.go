@@ -1,6 +1,7 @@
 package skyband
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -101,7 +102,10 @@ func TestKSkybandScoreOrder(t *testing.T) {
 	pts := randPoints(rng, 500, 3)
 	tr := rtree.BulkLoad(pts)
 	w := geom.Vector{0.2, 0.5, 0.3}
-	ms := KSkybandFor(tr, w, 4)
+	ms, err := KSkybandForCtx(context.Background(), tr, w, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < len(ms); i++ {
 		if ms[i].Point.Dot(w) > ms[i-1].Point.Dot(w)+1e-12 {
 			t.Fatalf("emission not in decreasing score order at %d", i)
@@ -199,7 +203,7 @@ func TestRhoSkybandExtremes(t *testing.T) {
 	k := 5
 
 	// rho = 0 gives exactly the top-k.
-	got := idsOf(RhoSkyband(tr, w, k, 0))
+	got := idsOf(rhoSkyband(t, tr, w, k, 0))
 	scores := make([]float64, len(pts))
 	for i, p := range pts {
 		scores[i] = p.Dot(w)
@@ -216,7 +220,7 @@ func TestRhoSkybandExtremes(t *testing.T) {
 	sameSet(t, got, want, "rho=0 skyband vs top-k")
 
 	// rho = +Inf gives the whole k-skyband.
-	got = idsOf(RhoSkyband(tr, w, k, math.Inf(1)))
+	got = idsOf(rhoSkyband(t, tr, w, k, math.Inf(1)))
 	sameSet(t, got, bruteKSkyband(pts, k), "rho=Inf skyband vs k-skyband")
 }
 
@@ -229,7 +233,7 @@ func TestRhoSkybandMatchesBrute(t *testing.T) {
 		w := geom.RandSimplex(rng, d)
 		k := 1 + iter%3
 		rho := 0.05 + 0.1*rng.Float64()
-		got := idsOf(RhoSkyband(tr, w, k, rho))
+		got := idsOf(rhoSkyband(t, tr, w, k, rho))
 		want := bruteRhoSkyband(w, pts, k, rho)
 		sameSet(t, got, want, "rho-skyband vs brute")
 	}
@@ -244,7 +248,7 @@ func TestRhoSkybandMonotonicInRho(t *testing.T) {
 	first := true
 	for _, rho := range []float64{0, 0.02, 0.05, 0.1, 0.2, 0.5, 1} {
 		cur := map[int]bool{}
-		for _, m := range RhoSkyband(tr, w, 3, rho) {
+		for _, m := range rhoSkyband(t, tr, w, 3, rho) {
 			cur[m.ID] = true
 		}
 		if !first {
@@ -397,4 +401,14 @@ func TestRhoDominates(t *testing.T) {
 	if RhoDominates(w, a, b, md+1e-6) {
 		t.Error("should not dominate above mindist")
 	}
+}
+
+// rhoSkyband is RhoSkybandCtx under a context that is never cancelled.
+func rhoSkyband(t *testing.T, tr *rtree.Tree, w geom.Vector, k int, rho float64) []Member {
+	t.Helper()
+	out, err := RhoSkybandCtx(context.Background(), tr, w, k, rho)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -24,7 +24,7 @@
 // A minimal session:
 //
 //	ds, _ := ordu.NewDataset(records)             // builds the R-tree
-//	res, _ := ds.ORU([]float64{0.5, 0.3, 0.2}, 5, 20)
+//	res, _ := ds.ORUCtx(ctx, []float64{0.5, 0.3, 0.2}, 5, 20)
 //	for _, r := range res.Records { fmt.Println(r.ID, r.Record) }
 package ordu
 
@@ -69,7 +69,7 @@ type Result struct {
 	Score float64
 }
 
-// ORDResult is the output of Dataset.ORD.
+// ORDResult is the output of Dataset.ORDCtx.
 type ORDResult struct {
 	// Records are the m output records in order of inflection radius: the
 	// first j records form the result for every output size j <= m.
@@ -93,7 +93,7 @@ type RegionTopK struct {
 	Witness []float64
 }
 
-// ORUResult is the output of Dataset.ORU.
+// ORUResult is the output of Dataset.ORUCtx.
 type ORUResult struct {
 	// Records are the m output records in confirmation order.
 	Records []Result
@@ -325,17 +325,10 @@ func (ds *Dataset) OSSkyline(m int) []Result {
 	return out
 }
 
-// ORD runs the paper's dominance-flavoured operator (Definition 1).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) ORD(w []float64, k, m int) (*ORDResult, error) {
-	return ds.ORDCtx(context.Background(), w, k, m)
-}
-
-// ORDCtx is ORD with a context: the retrieval polls ctx cooperatively and
-// aborts with an error wrapping ctx.Err() once the context is cancelled or
-// its deadline passes — the hook the serving layer uses for per-request
-// deadlines.
+// ORDCtx runs the paper's dominance-flavoured operator (Definition 1). The
+// retrieval polls ctx cooperatively and aborts with an error wrapping
+// ctx.Err() once the context is cancelled or its deadline passes — the
+// hook the serving layer uses for per-request deadlines.
 //
 //ordlint:borrows — Result.Record aliases the packed storage
 func (ds *Dataset) ORDCtx(ctx context.Context, w []float64, k, m int) (*ORDResult, error) {
@@ -357,41 +350,13 @@ func (ds *Dataset) ORDCtx(ctx context.Context, w []float64, k, m int) (*ORDResul
 	return out, nil
 }
 
-// ORU runs the paper's ranking-flavoured operator (Definition 2).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) ORU(w []float64, k, m int) (*ORUResult, error) {
-	return ds.ORUCtx(context.Background(), w, k, m)
-}
-
-// ORUCtx is ORU with a context (see ORDCtx).
+// ORUCtx runs the paper's ranking-flavoured operator (Definition 2),
+// partitioning as many preference regions at once as GOMAXPROCS allows —
+// the parallelisation the paper proposes in Section 6.4; the result does
+// not depend on it. ctx is polled as in ORDCtx.
 //
 //ordlint:borrows — Result.Record aliases the packed storage
 func (ds *Dataset) ORUCtx(ctx context.Context, w []float64, k, m int) (*ORUResult, error) {
-	return ds.oruCtx(ctx, w, k, m, 0)
-}
-
-// ORUParallel is ORU with concurrent region partitioning — the
-// parallelisation direction the paper proposes in Section 6.4. The result
-// is identical to ORU; only wall-clock changes. workers <= 1 falls back to
-// the sequential algorithm.
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) ORUParallel(w []float64, k, m, workers int) (*ORUResult, error) {
-	return ds.ORUParallelCtx(context.Background(), w, k, m, workers)
-}
-
-// ORUParallelCtx is ORUParallel with a context (see ORDCtx).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) ORUParallelCtx(ctx context.Context, w []float64, k, m, workers int) (*ORUResult, error) {
-	return ds.oruCtx(ctx, w, k, m, workers)
-}
-
-// oruCtx validates, runs the core ORU and converts the result.
-//
-//ordlint:borrows — Result.Record aliases the packed storage
-func (ds *Dataset) oruCtx(ctx context.Context, w []float64, k, m, workers int) (*ORUResult, error) {
 	v, err := ds.prepW(w)
 	if err != nil {
 		return nil, err
@@ -399,7 +364,7 @@ func (ds *Dataset) oruCtx(ctx context.Context, w []float64, k, m, workers int) (
 	if err := checkKM(k, m); err != nil {
 		return nil, err
 	}
-	res, err := core.ORUWithCtx(ctx, ds.tree(), v, k, m, core.ORUOptions{Workers: workers})
+	res, err := core.ORUWithCtx(ctx, ds.tree(), v, k, m, core.ORUOptions{})
 	if err != nil {
 		return nil, err
 	}
