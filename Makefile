@@ -7,19 +7,18 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Project-specific static analysis, all twenty-four checks: the syntactic
-# suite (floatcmp, ctxpoll, senterr, nopanic, printguard), the CFG/dataflow
-# suite (wsescape, goroutinecap, poolpair, noalloc), the interprocedural
-# suite (ctxflow, deepnoalloc, lockhold, maporder, borrowck, lockmode,
-# atomicmix), the concurrency suite (chanprotocol, wgbalance, atomicpub,
-# sharedwrite), and the handle suite (handleprov, stridebound, genstale,
-# narrowcast); exits non-zero on any finding. This target is the single
-# lint invocation: `make test` and CI both go through it.
+# Project-specific static analysis, all seventeen checks: the syntactic
+# suite (floatcmp, senterr, nopanic, printguard), the CFG/dataflow suite
+# (wsescape, poolpair, noalloc), the interprocedural suite (ctxflow,
+# deepnoalloc, lockhold, maporder, borrowck, lockmode), and the handle
+# suite (handleprov, stridebound, genstale, narrowcast); exits non-zero on
+# any finding. This target is the single lint invocation: `make test` and
+# CI both go through it.
 lint:
 	$(GO) run ./cmd/ordlint ./...
 
 # Lint wall-time budget: the suite must finish within LINT_BUDGET seconds.
-# The full 24-check run takes ~5s locally (dominated by type-checking the
+# The full 17-check run takes ~5s locally (dominated by type-checking the
 # stdlib closure from source); the default budget is ~4x that plus headroom
 # for slower CI runners. A blown budget means a check went super-linear —
 # catch it here, not by watching CI get slower release by release.

@@ -139,13 +139,11 @@ type jsonFinding struct {
 
 // emitStats writes the interprocedural layer's statistics as NDJSON: one
 // "graph" record, one "summaries" record with aggregate counts, one
-// "concurrency" record with spawn-site and channel/WaitGroup/atomic op
-// totals followed by a "spawn" record per go statement, one "handles"
-// record with the handle layer's provenance totals (classed returns per
-// class, mutators, bounded contracts), and one "unreachable" record per
-// function no configured entry point reaches — the input for dead-weight
-// review and for tracking the server cone's growth over time in CI
-// artifacts.
+// "handles" record with the handle layer's provenance totals (classed
+// returns per class, mutators, bounded contracts), and one "unreachable"
+// record per function no configured entry point reaches — the input for
+// dead-weight review and for tracking the server cone's growth over time
+// in CI artifacts.
 func emitStats(w io.Writer, cfg analysis.Config, pkgs []*analysis.Package) error {
 	g := analysis.BuildCallGraph(pkgs)
 	sums := analysis.ComputeSummaries(g, pkgs)
@@ -188,48 +186,6 @@ func emitStats(w io.Writer, cfg analysis.Config, pkgs []*analysis.Package) error
 		"may_panic": counts["may_panic"],
 	}); err != nil {
 		return err
-	}
-
-	// Concurrency layer: one aggregate record, then one record per spawn
-	// site — the same facts the chanprotocol/wgbalance/sharedwrite checks
-	// verify, so a new goroutine shows up in the CI artifact diff.
-	conc := analysis.ComputeConcFacts(g)
-	chanOps, wgOps, atomicOps := 0, 0, 0
-	for _, s := range conc {
-		chanOps += len(s.Chans)
-		wgOps += len(s.WGs)
-		atomicOps += len(s.Atomics)
-	}
-	type spawnRec struct{ caller, callee string }
-	var spawns []spawnRec
-	for _, n := range g.Nodes {
-		for _, e := range analysis.Spawns(n) {
-			spawns = append(spawns, spawnRec{n.Name, e.Callee.Name})
-		}
-	}
-	sort.Slice(spawns, func(i, j int) bool {
-		if spawns[i].caller != spawns[j].caller {
-			return spawns[i].caller < spawns[j].caller
-		}
-		return spawns[i].callee < spawns[j].callee
-	})
-	if err := enc.Encode(map[string]interface{}{
-		"kind":        "concurrency",
-		"spawn_sites": len(spawns),
-		"chan_ops":    chanOps,
-		"wg_ops":      wgOps,
-		"atomic_ops":  atomicOps,
-	}); err != nil {
-		return err
-	}
-	for _, s := range spawns {
-		if err := enc.Encode(map[string]interface{}{
-			"kind":   "spawn",
-			"caller": s.caller,
-			"callee": s.callee,
-		}); err != nil {
-			return err
-		}
 	}
 
 	// Handle layer: one aggregate record over the arena-handle facts, so a

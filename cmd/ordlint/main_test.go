@@ -128,7 +128,7 @@ func TestCheckSubset(t *testing.T) {
 		t.Skip("loads the full module plus its stdlib closure")
 	}
 	var out, errw bytes.Buffer
-	if code := run([]string{"-check", "borrowck,lockmode,atomicmix", "./internal/collection"}, &out, &errw); code != 0 {
+	if code := run([]string{"-check", "borrowck,lockmode", "./internal/collection"}, &out, &errw); code != 0 {
 		t.Fatalf("run(-check subset) = %d, stdout: %s, stderr: %s", code, out.String(), errw.String())
 	}
 	if out.Len() != 0 {
@@ -162,7 +162,7 @@ func TestStatsNDJSON(t *testing.T) {
 	if code := run([]string{"-stats", "./internal/linalg"}, &out, &errw); code != 0 {
 		t.Fatalf("run(-stats) = %d, stderr: %s", code, errw.String())
 	}
-	var graphs, summaries, concurrency, handles, unreachable int
+	var graphs, summaries, handles, unreachable int
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		var rec map[string]interface{}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -179,14 +179,6 @@ func TestStatsNDJSON(t *testing.T) {
 			if n, _ := rec["functions"].(float64); n < 1 {
 				t.Errorf("summaries record reports %v functions", rec["functions"])
 			}
-		case "concurrency":
-			concurrency++
-			// linalg spawns nothing; the aggregate record still appears.
-			if n, _ := rec["spawn_sites"].(float64); n != 0 {
-				t.Errorf("concurrency record reports %v spawn sites in linalg", rec["spawn_sites"])
-			}
-		case "spawn":
-			t.Errorf("spawn record %v in linalg, which starts no goroutines", rec)
 		case "handles":
 			handles++
 			if n, _ := rec["functions"].(float64); n < 1 {
@@ -206,41 +198,11 @@ func TestStatsNDJSON(t *testing.T) {
 			t.Errorf("unexpected record kind %v", rec["kind"])
 		}
 	}
-	if graphs != 1 || summaries != 1 || concurrency != 1 || handles != 1 {
-		t.Errorf("got %d graph, %d summaries, %d concurrency, %d handles records, want 1 each",
-			graphs, summaries, concurrency, handles)
+	if graphs != 1 || summaries != 1 || handles != 1 {
+		t.Errorf("got %d graph, %d summaries, %d handles records, want 1 each",
+			graphs, summaries, handles)
 	}
 	if unreachable == 0 {
 		t.Error("no unreachable records: linalg is outside the server entry cone")
-	}
-}
-
-// TestStatsSpawns pins the spawn records over a package that does start
-// goroutines: the region explorer spawning its partition workers.
-func TestStatsSpawns(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the full module plus its stdlib closure")
-	}
-	var out, errw bytes.Buffer
-	if code := run([]string{"-stats", "./internal/core"}, &out, &errw); code != 0 {
-		t.Fatalf("run(-stats) = %d, stderr: %s", code, errw.String())
-	}
-	found := false
-	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
-		var rec map[string]interface{}
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("line %q is not JSON: %v", line, err)
-		}
-		if rec["kind"] != "spawn" {
-			continue
-		}
-		caller, _ := rec["caller"].(string)
-		callee, _ := rec["callee"].(string)
-		if strings.HasSuffix(caller, "core.explorer.explore") && strings.HasSuffix(callee, "explore.func1") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("no spawn record for explore -> explore.func1; the concurrency stats lost the batched explorer")
 	}
 }

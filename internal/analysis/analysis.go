@@ -2,8 +2,10 @@
 // it loads every package with go/parser + go/types (no x/tools dependency)
 // and runs a suite of project-specific analyzers enforcing invariants the
 // compiler cannot see — numeric-comparison discipline near region
-// boundaries, the cooperative-cancellation contract of the scan loops,
-// sentinel-error hygiene, and library-package output/termination rules.
+// boundaries, the cooperative-cancellation contract of request-reachable
+// loops, sentinel-error hygiene, workspace and borrow lifetimes, lock
+// discipline, arena-handle provenance, and library-package
+// output/termination rules.
 //
 // A finding can be suppressed with an escape comment on (or immediately
 // above) the offending line:
@@ -13,14 +15,11 @@
 // The justification is free text; the em-dash (or "--") separator is
 // conventional. Suppressions without a matching finding are harmless.
 //
-// Adding a new check is ~50 lines: implement
-//
-//	var mycheck = &Analyzer{Name: "mycheck", Doc: "...", Run: run}
-//
-// where run inspects pass.Files with pass.TypesInfo and calls pass.Report,
-// add it to the suite in DefaultSuite (and cmd/ordlint's -checks help), and
-// drop a fixture package with `// want "regexp"` expectations under
-// testdata/src/mycheck for the golden self-test.
+// A check is an Analyzer whose Run inspects pass.Files with
+// pass.TypesInfo and calls pass.Report. NewSuite lists the suite in order;
+// each check has a fixture package with `// want "regexp"` expectations
+// under testdata/src/<name> for the golden self-test, and a row in the
+// README's check table.
 package analysis
 
 import (
@@ -66,8 +65,8 @@ type Analyzer struct {
 	Doc  string
 	// Layer places the check in the suite's architecture: "syntactic"
 	// (single-file AST walks), "cfg" (intraprocedural dataflow),
-	// "interproc" (call-graph + summaries) or "concurrency" (spawn-edge
-	// protocols). cmd/ordlint -list prints it and the README table test
+	// "interproc" (call-graph + summaries) or "handle" (arena-handle
+	// provenance). cmd/ordlint -list prints it and the README table test
 	// keeps the docs in sync with it.
 	Layer string
 	Run   func(*Pass)
@@ -98,7 +97,6 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 	facts.Graph = BuildCallGraph(pkgs)
 	facts.Summaries = ComputeSummaries(facts.Graph, pkgs)
 	facts.Borrows = ComputeBorrowFacts(facts.Graph, s.fresh)
-	facts.Conc = ComputeConcFacts(facts.Graph)
 	hc := s.handle
 	if hc == nil {
 		hc = NewHandleConfig(Config{})

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -12,11 +13,10 @@ import (
 // exercises one analyzer with at least one positive, one negative, and one
 // allow-comment case.
 var fixtureNames = []string{
-	"floatcmp", "ctxpoll", "senterr", "nopanic", "printguard",
-	"wsescape", "goroutinecap", "poolpair", "noalloc",
+	"floatcmp", "senterr", "nopanic", "printguard",
+	"wsescape", "poolpair", "noalloc",
 	"ctxflow", "deepnoalloc", "lockhold", "maporder",
-	"borrowck", "lockmode", "atomicmix",
-	"chanprotocol", "wgbalance", "atomicpub", "sharedwrite",
+	"borrowck", "lockmode",
 	"handleprov", "stridebound", "genstale", "narrowcast",
 }
 
@@ -27,11 +27,6 @@ func fixtureConfig(name string) Config {
 	switch name {
 	case "floatcmp":
 		return Config{FloatcmpApproved: map[string]bool{"floatcmp.approxEq": true}}
-	case "ctxpoll":
-		return Config{
-			CtxPollPackages:  map[string]bool{"ctxpoll": true},
-			CtxPollScanCalls: map[string]bool{"Next": true, "NextCtx": true, "fetch": true},
-		}
 	case "senterr":
 		return Config{SenterrCallee: only}
 	case "nopanic":
@@ -40,28 +35,20 @@ func fixtureConfig(name string) Config {
 		return Config{PrintguardPackage: only}
 	case "wsescape":
 		return Config{WorkspacePackage: only}
-	case "goroutinecap":
-		return Config{
-			WorkspacePackage:     only,
-			GoroutineCapPackages: map[string]bool{"goroutinecap": true},
-			PooledTypes:          map[string]bool{"goroutinecap.node": true},
-		}
 	case "poolpair":
 		return Config{PoolPairs: []PoolPair{{Get: "poolpair.pool.get", Put: "poolpair.pool.put"}}}
 	case "noalloc":
 		return Config{} // annotation-driven; the convention fallback covers the fixture's Workspace
 	case "ctxflow":
-		// ctxpoll is deliberately enabled alongside: the fixture pins that
-		// the scan-forwarding loop satisfies ctxpoll yet fails ctxflow.
 		return Config{
-			CtxPollPackages:  map[string]bool{"ctxflow": true},
-			CtxPollScanCalls: map[string]bool{"Next": true},
+			ScanCalls: map[string]bool{"Next": true},
 			CtxFlowEntryFuncs: map[string]bool{
 				"ctxflow.Handler":             true,
 				"ctxflow.HandlerForwards":     true,
 				"ctxflow.HandlerPolls":        true,
 				"ctxflow.HandlerDelegates":    true,
 				"ctxflow.HandlerScanForwards": true,
+				"ctxflow.HandlerScans":        true,
 				"ctxflow.HandlerAllowed":      true,
 			},
 		}
@@ -85,12 +72,6 @@ func fixtureConfig(name string) Config {
 			FreshFuncs:       map[string]bool{"lockmode.newDataset": true},
 			LockModePure:     map[string]bool{"lockmode.dataset.Dim": true},
 		}
-	case "atomicmix":
-		return Config{} // module-wide fact collection; no scoping needed
-	case "chanprotocol", "wgbalance", "sharedwrite":
-		return Config{ConcPackages: map[string]bool{name: true}}
-	case "atomicpub":
-		return Config{} // unscoped: the publication contract holds everywhere
 	case "handleprov":
 		return Config{
 			HandlePackages: map[string]bool{"handleprov": true},
@@ -178,15 +159,57 @@ func parseWants(t *testing.T, pkg *Package) []*want {
 	return wants
 }
 
-// loadFixture type-checks testdata/src/<name> under the import path <name>.
-func loadFixture(t *testing.T, name string) *Package {
-	t.Helper()
+// sharedLoader is the one Loader every test in this binary loads through.
+// The loader memoizes packages by directory, so the standard-library
+// closure is type-checked once no matter how many fixtures import it, and
+// a fixture loaded twice is the same *Package both times.
+var sharedLoader = sync.OnceValues(func() (*Loader, error) {
 	root, modPath, err := FindModule(".")
+	if err != nil {
+		return nil, err
+	}
+	return NewLoader(modPath, root), nil
+})
+
+// sharedModule caches the whole-module load behind sharedLoader.
+var sharedModule = sync.OnceValues(func() ([]*Package, error) {
+	l, err := sharedLoader()
+	if err != nil {
+		return nil, err
+	}
+	return l.LoadModule()
+})
+
+// testLoader returns sharedLoader or fails the test.
+func testLoader(t *testing.T) *Loader {
+	t.Helper()
+	l, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("FindModule: %v", err)
 	}
-	l := NewLoader(modPath, root)
-	pkg, err := l.LoadDir(filepath.Join("testdata", "src", name), name)
+	return l
+}
+
+// loadModule returns every package of the module and the module path,
+// loaded once per test binary. The packages are shared between tests and
+// must not be modified.
+func loadModule(t *testing.T) ([]*Package, string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("loads the full module plus its stdlib closure")
+	}
+	pkgs, err := sharedModule()
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	return pkgs, testLoader(t).ModulePath
+}
+
+// loadFixture type-checks testdata/src/<name> under the import path <name>.
+// The package is shared with every other test that loads the same fixture.
+func loadFixture(t *testing.T, name string) *Package {
+	t.Helper()
+	pkg, err := testLoader(t).LoadDir(filepath.Join("testdata", "src", name), name)
 	if err != nil {
 		t.Fatalf("load fixture %s: %v", name, err)
 	}
@@ -236,7 +259,8 @@ func TestGolden(t *testing.T) {
 
 // TestGoldenAllowStripped re-runs each fixture with its //ordlint:allow
 // comments neutralized and checks that extra findings appear: the allow
-// machinery must be the only thing keeping those lines quiet.
+// machinery must be the only thing keeping those lines quiet. The fixture
+// package is shared, so the comments are restored afterwards.
 func TestGoldenAllowStripped(t *testing.T) {
 	for _, name := range fixtureNames {
 		t.Run(name, func(t *testing.T) {
@@ -247,6 +271,8 @@ func TestGoldenAllowStripped(t *testing.T) {
 				for _, cg := range f.Comments {
 					for _, c := range cg.List {
 						if strings.Contains(c.Text, "ordlint:allow") {
+							text := c.Text
+							t.Cleanup(func() { c.Text = text })
 							c.Text = "// neutralized"
 							stripped++
 						}
@@ -286,18 +312,7 @@ func TestSuiteNames(t *testing.T) {
 // configuration reports nothing — the tree must stay lint-clean, with
 // deliberate exceptions annotated in place.
 func TestModuleClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the full module plus its stdlib closure")
-	}
-	root, modPath, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	l := NewLoader(modPath, root)
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
+	pkgs, modPath := loadModule(t)
 	if len(pkgs) < 10 {
 		t.Fatalf("LoadModule found only %d packages; the walk is missing the tree", len(pkgs))
 	}
@@ -337,7 +352,7 @@ func TestAllowSet(t *testing.T) {
 
 // TestQualifiedName pins the owner-naming scheme FloatcmpApproved keys use.
 func TestQualifiedName(t *testing.T) {
-	pkg := loadFixture(t, "ctxpoll")
+	pkg := loadFixture(t, "ctxflow")
 	var got []string
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -347,7 +362,7 @@ func TestQualifiedName(t *testing.T) {
 		}
 	}
 	joined := " " + strings.Join(got, " ") + " "
-	for _, w := range []string{" ctxpoll.scanner.Next ", " ctxpoll.helper "} {
+	for _, w := range []string{" ctxflow.scanner.Next ", " ctxflow.polls "} {
 		if !strings.Contains(joined, w) {
 			t.Errorf("qualified names %v missing %q", got, strings.TrimSpace(w))
 		}

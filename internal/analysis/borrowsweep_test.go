@@ -14,18 +14,7 @@ import (
 // handle* method of Server must have a lock-mode row. This is the
 // machine-checked version of the package concurrency contracts.
 func TestModuleBorrowSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the full module plus its stdlib closure")
-	}
-	root, modPath, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	l := NewLoader(modPath, root)
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
+	pkgs, modPath := loadModule(t)
 	g := BuildCallGraph(pkgs)
 	facts := ComputeBorrowFacts(g, DefaultConfig(modPath).FreshFuncs)
 	factByName := make(map[string]*BorrowInfo, len(facts))

@@ -96,6 +96,17 @@ func (n *FuncNode) Pos() token.Pos {
 	return n.Lit.Pos()
 }
 
+// Spawns returns n's go-edges: the goroutines this function starts.
+func Spawns(n *FuncNode) []*CallEdge {
+	var out []*CallEdge
+	for _, e := range n.Out {
+		if e.Kind == EdgeGo {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 // CallEdge is one resolved call site.
 type CallEdge struct {
 	Caller *FuncNode

@@ -6,17 +6,17 @@ import (
 	"go/token"
 )
 
-// NewCtxflow builds the ctxflow analyzer: the interprocedural upgrade of
-// ctxpoll. ctxpoll trusts any callee that receives a ctx argument to poll
-// it; ctxflow follows the actual call chain. A loop is checked when it is
-// *potentially unbounded* — it advances a progressive scan (one of the
-// configured scan calls) or it is an unconditioned `for`/`for i := 0; ; i++`
-// — AND its enclosing function is reachable from an entry point (the query
-// server's handlers, or the facade's Ctx methods). Such a loop must be
-// cancellable: poll ctx.Err()/ctx.Done() directly, or forward a context to
-// a callee whose summary proves it polls (transitively). Forwarding ctx to
-// a callee that drops it on the floor — the case ctxpoll cannot see — is a
-// finding.
+// NewCtxflow builds the ctxflow analyzer, machine-checking the cooperative
+// cancellation contract of the query server along the actual call chain.
+// A loop is checked when it is *potentially unbounded* — a `for` or
+// `range` loop that advances a progressive scan (one of the configured
+// scan calls), or an unconditioned `for`/`for i := 0; ; i++` — AND its
+// enclosing function is reachable from an entry point (the query server's
+// handlers, or the facade's Ctx methods). Such a loop must be cancellable:
+// poll ctx.Err()/ctx.Done() directly, or forward a context to a callee
+// whose summary proves it polls (transitively). Forwarding ctx to a callee
+// that drops it on the floor is a finding, and so is a poll made only
+// inside a nested closure, which runs on its own schedule.
 //
 // Reachability follows every edge kind (a handler's closure or a spawned
 // goroutine still runs on behalf of a request); the discovery chain is
@@ -79,6 +79,8 @@ func checkCtxflowFunc(pass *Pass, n *FuncNode, reach map[*FuncNode]*CallEdge,
 		case *ast.ForStmt:
 			body = loop.Body
 			unconditioned = loop.Cond == nil
+		case *ast.RangeStmt:
+			body = loop.Body
 		default:
 			return true
 		}
@@ -114,8 +116,7 @@ func checkCtxflowFunc(pass *Pass, n *FuncNode, reach map[*FuncNode]*CallEdge,
 			forwarded = true
 			// Where does the forwarded ctx go? Module callees must prove
 			// (via their summary) that the context is eventually polled;
-			// stdlib and unresolved callees get the benefit of the doubt,
-			// like ctxpoll gave every callee.
+			// stdlib and unresolved callees get the benefit of the doubt.
 			if edges, ok := edgeAt[call.Pos()]; ok {
 				for _, e := range edges {
 					if sums[e.Callee].PollsCtx {
@@ -159,4 +160,20 @@ func hasCtxParam(n *FuncNode) bool {
 		}
 	}
 	return false
+}
+
+// exprString renders a selector chain like "sc.Next" for diagnostics.
+func exprString(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		if base := exprString(e.X); base != "" {
+			return base + "." + e.Sel.Name
+		}
+		return e.Sel.Name
+	case *ast.CallExpr:
+		return exprString(e.Fun) + "()"
+	}
+	return "…"
 }

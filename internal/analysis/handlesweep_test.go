@@ -16,18 +16,7 @@ import (
 // contracts the //ordlint:handle, //ordlint:writer and //ordlint:mutates
 // directives document in place.
 func TestModuleHandleSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the full module plus its stdlib closure")
-	}
-	root, modPath, err := FindModule(".")
-	if err != nil {
-		t.Fatalf("FindModule: %v", err)
-	}
-	l := NewLoader(modPath, root)
-	pkgs, err := l.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
+	pkgs, modPath := loadModule(t)
 	g := BuildCallGraph(pkgs)
 	cfg := DefaultConfig(modPath)
 	borrows := ComputeBorrowFacts(g, cfg.FreshFuncs)

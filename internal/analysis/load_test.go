@@ -33,7 +33,7 @@ func TestFindModuleFromSubdirectory(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FindModule(.): %v", err)
 	}
-	sub := filepath.Join("testdata", "src", "ctxpoll")
+	sub := filepath.Join("testdata", "src", "ctxflow")
 	rootSub, modSub, err := FindModule(sub)
 	if err != nil {
 		t.Fatalf("FindModule(%s): %v", sub, err)

@@ -28,20 +28,11 @@ type Facts struct {
 	// Borrows holds the borrow/writer facts of the lock-discipline checks
 	// (borrowck, lockmode), computed over Graph after Summaries.
 	Borrows map[*FuncNode]*BorrowInfo
-	// Conc holds the per-function concurrency summaries (channel ops,
-	// WaitGroup deltas, atomic publish/load sites) behind the concurrency
-	// layer (chanprotocol, wgbalance, atomicpub, sharedwrite).
-	Conc map[*FuncNode]*ConcSummary
 	// Handles holds the arena-handle provenance summaries (return/param
 	// classes, mutator and bounded facts) behind the handle layer
 	// (handleprov, stridebound, genstale, narrowcast), computed over
 	// Graph after Borrows.
 	Handles map[*FuncNode]*HandleInfo
-	// atomicVars maps every variable (field or package var) whose address
-	// feeds a sync/atomic function anywhere in the module to the position
-	// of one such use, rendered for diagnostics. atomicmix flags plain
-	// accesses of these variables.
-	atomicVars map[types.Object]string
 }
 
 // wsDocPhrases are the doc-comment fragments that mark a type as a
@@ -53,11 +44,9 @@ func computeFacts(pkgs []*Package) *Facts {
 	f := &Facts{
 		wsTypes:    make(map[string]bool),
 		loadedPkgs: make(map[string]bool),
-		atomicVars: make(map[types.Object]string),
 	}
 	for _, pkg := range pkgs {
 		f.loadedPkgs[pkg.Path] = true
-		collectAtomicVars(pkg, f.atomicVars)
 		for _, file := range pkg.Files {
 			for _, decl := range file.Decls {
 				gd, ok := decl.(*ast.GenDecl)

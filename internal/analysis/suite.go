@@ -9,11 +9,6 @@ type Config struct {
 	// ("pkgpath.Recv.Method" or "pkgpath.Func") whose bodies may compare
 	// floats exactly — the vetted epsilon/dominance primitives.
 	FloatcmpApproved map[string]bool
-	// CtxPollPackages are the package paths whose scan loops must poll a
-	// context.
-	CtxPollPackages map[string]bool
-	// CtxPollScanCalls are the method names that advance a progressive scan.
-	CtxPollScanCalls map[string]bool
 	// SenterrCallee restricts senterr to calls into matching packages.
 	SenterrCallee func(pkgPath string) bool
 	// NopanicPackage selects the library packages where nopanic applies.
@@ -27,12 +22,6 @@ type Config struct {
 	// as single-owner reusable state. Types whose doc comment says
 	// "not goroutine-safe" (and friends) are recognized regardless.
 	WorkspacePackage func(pkgPath string) bool
-	// GoroutineCapPackages are the packages whose goroutines goroutinecap
-	// audits for shared workspaces and pooled nodes.
-	GoroutineCapPackages map[string]bool
-	// PooledTypes lists qualified type names ("pkgpath.Type") of pooled
-	// objects (free-list nodes) goroutinecap treats like workspaces.
-	PooledTypes map[string]bool
 	// PoolPairs lists the Get/Put method pairs poolpair balances.
 	PoolPairs []PoolPair
 	// CtxFlowEntryPackages are the packages whose every function is a
@@ -41,6 +30,9 @@ type Config struct {
 	// CtxFlowEntryFuncs are additional qualified function names treated as
 	// ctxflow entry points (the facade's Ctx methods).
 	CtxFlowEntryFuncs map[string]bool
+	// ScanCalls are the method names that advance a progressive scan;
+	// ctxflow treats a loop calling one as potentially unbounded.
+	ScanCalls map[string]bool
 	// NoallocExternals are package paths deepnoalloc accepts as
 	// allocation-free when a kernel's call chain leaves the module.
 	NoallocExternals map[string]bool
@@ -72,10 +64,6 @@ type Config struct {
 	// LockModePure are qualified methods on guarded types that read only
 	// construction-immutable state and may run without the lock.
 	LockModePure map[string]bool
-	// ConcPackages are the packages whose spawn edges the concurrency
-	// layer (chanprotocol, wgbalance, sharedwrite) verifies. atomicpub
-	// runs everywhere, like atomicmix.
-	ConcPackages map[string]bool
 	// HandlePackages are the packages whose bodies the handle layer
 	// (handleprov, stridebound, genstale, narrowcast) audits.
 	HandlePackages map[string]bool
@@ -106,8 +94,6 @@ type Config struct {
 //     internal/linalg (Vector.Equal; the pivot-skip zero tests inside the
 //     eliminators, which compare against values that are exactly zero by
 //     construction);
-//   - ctxpoll guards internal/core and internal/skyband, the packages that
-//     host the potentially unbounded scan loops;
 //   - senterr applies to calls into any module package that exports Err*
 //     sentinels (the facade's ErrBadSeed/ErrBadParams contract and friends);
 //   - nopanic/printguard cover every internal/* library package, leaving
@@ -116,15 +102,13 @@ type Config struct {
 //     package (the naming convention plus "not goroutine-safe" doc
 //     phrases), so escaping aliases and annotated kernels are checked
 //     wherever they live;
-//   - goroutinecap audits internal/core and internal/server — the only
-//     packages that spawn goroutines — for workspaces or pooled nodes
-//     (core.regionNode, hull.facet) shared across goroutines;
 //   - poolpair balances the two free lists: the explorer's node pool
 //     (exploreWS.node/recycle) and the hull builder's facet pool
 //     (Builder.allocFacet/freeFacet);
 //   - ctxflow treats every function of internal/server plus the facade's
 //     ORDCtx/ORUCtx as entry points: whatever a request can reach must stay
-//     cancellable;
+//     cancellable, and a loop calling Next, NextCtx or fetch advances a
+//     progressive scan;
 //   - deepnoalloc accepts math, sort and sync/atomic as allocation-free
 //     stdlib destinations and skips geom.simplexFor, the documented
 //     per-dimension constant-cache fill;
@@ -139,14 +123,6 @@ type Config struct {
 //     guards Dataset/Collection/Live calls; Dataset.Dim is pure
 //     (construction-immutable) and the dataset constructors yield fresh
 //     unpublished objects;
-//   - atomicmix runs everywhere; the module's counters are typed atomics,
-//     so the check guards against regressions to address-based mixing;
-//   - the concurrency layer (chanprotocol, wgbalance, sharedwrite) covers
-//     every package that spawns goroutines today — the batched region
-//     explorer (core), the query server and the live collection it guards,
-//     plus the load generator and daemon commands; atomicpub, like
-//     atomicmix, runs everywhere because a published snapshot is a
-//     module-wide contract;
 //   - the handle layer (handleprov, stridebound, genstale, narrowcast)
 //     covers the flat spatial core and every package that holds its
 //     integer handles — rtree (and the legacy oracle), collection,
@@ -168,15 +144,6 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/linalg.Solve":      true,
 			modulePath + "/internal/linalg.NullVector": true,
 		},
-		CtxPollPackages: map[string]bool{
-			modulePath + "/internal/core":    true,
-			modulePath + "/internal/skyband": true,
-		},
-		CtxPollScanCalls: map[string]bool{
-			"Next":    true,
-			"NextCtx": true,
-			"fetch":   true,
-		},
 		SenterrCallee: func(pkgPath string) bool {
 			return pkgPath == modulePath || strings.HasPrefix(pkgPath, modulePath+"/")
 		},
@@ -184,14 +151,6 @@ func DefaultConfig(modulePath string) Config {
 		PrintguardPackage: internal,
 		WorkspacePackage: func(pkgPath string) bool {
 			return pkgPath == modulePath || strings.HasPrefix(pkgPath, modulePath+"/")
-		},
-		GoroutineCapPackages: map[string]bool{
-			modulePath + "/internal/core":   true,
-			modulePath + "/internal/server": true,
-		},
-		PooledTypes: map[string]bool{
-			modulePath + "/internal/core.regionNode": true,
-			modulePath + "/internal/hull.facet":      true,
 		},
 		PoolPairs: []PoolPair{
 			{Get: modulePath + "/internal/core.exploreWS.node", Put: modulePath + "/internal/core.exploreWS.recycle"},
@@ -203,6 +162,11 @@ func DefaultConfig(modulePath string) Config {
 		CtxFlowEntryFuncs: map[string]bool{
 			modulePath + ".Dataset.ORDCtx": true,
 			modulePath + ".Dataset.ORUCtx": true,
+		},
+		ScanCalls: map[string]bool{
+			"Next":    true,
+			"NextCtx": true,
+			"fetch":   true,
 		},
 		NoallocExternals: map[string]bool{
 			"math":        true,
@@ -240,13 +204,6 @@ func DefaultConfig(modulePath string) Config {
 		},
 		LockModePure: map[string]bool{
 			modulePath + ".Dataset.Dim": true,
-		},
-		ConcPackages: map[string]bool{
-			modulePath + "/internal/core":       true,
-			modulePath + "/internal/server":     true,
-			modulePath + "/internal/collection": true,
-			modulePath + "/cmd/ordload":         true,
-			modulePath + "/cmd/ordud":           true,
 		},
 		HandlePackages: map[string]bool{
 			modulePath + "/internal/rtree":        true,
@@ -327,25 +284,18 @@ func NewSuite(cfg Config) *Suite {
 	hc := NewHandleConfig(cfg)
 	return &Suite{fresh: cfg.FreshFuncs, handle: hc, Analyzers: []*Analyzer{
 		NewFloatcmp(cfg.FloatcmpApproved),
-		NewCtxpoll(cfg.CtxPollPackages, cfg.CtxPollScanCalls),
 		NewSenterr(senterr),
 		NewNopanic(nopanic),
 		NewPrintguard(printguard),
 		NewWsescape(cfg.WorkspacePackage),
-		NewGoroutinecap(cfg.GoroutineCapPackages, cfg.PooledTypes, cfg.WorkspacePackage),
 		NewPoolpair(cfg.PoolPairs),
 		NewNoalloc(cfg.WorkspacePackage),
-		NewCtxflow(cfg.CtxFlowEntryPackages, cfg.CtxFlowEntryFuncs, cfg.CtxPollScanCalls),
+		NewCtxflow(cfg.CtxFlowEntryPackages, cfg.CtxFlowEntryFuncs, cfg.ScanCalls),
 		NewDeepnoalloc(cfg.NoallocExternals, cfg.NoallocAmortized),
 		NewLockhold(cfg.LockHoldPackages),
 		NewMaporder(cfg.MapOrderPackages),
 		NewBorrowck(cfg.BorrowSinks, cfg.FreshFuncs),
 		NewLockmode(cfg.LockModePackages, cfg.GuardedTypes, cfg.FreshFuncs, cfg.LockModePure),
-		NewAtomicmix(),
-		NewChanprotocol(cfg.ConcPackages),
-		NewWgbalance(cfg.ConcPackages),
-		NewAtomicpub(),
-		NewSharedwrite(cfg.ConcPackages),
 		NewHandleprov(hc),
 		NewStridebound(hc),
 		NewGenstale(hc),
