@@ -39,16 +39,35 @@ var benchCache = expr.NewCache()
 
 func benchSeeds(d int) []geom.Vector { return expr.Seeds(d, 16) }
 
-// runOp cycles through seed vectors, one query per iteration. Every
-// benchmark family reports allocations: allocs/op is a tracked regression
-// axis alongside ns/op (see cmd/benchdiff).
-func runOp(b *testing.B, d int, fn func(w geom.Vector)) {
+// runOp cycles through seed vectors, one query per iteration, and fails
+// the benchmark on the first query error: a query that errors out early
+// would otherwise look fast. Every benchmark family reports allocations:
+// allocs/op is a tracked regression axis alongside ns/op (see
+// cmd/benchdiff).
+func runOp(b *testing.B, d int, fn func(w geom.Vector) error) {
 	b.Helper()
 	seeds := benchSeeds(d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn(seeds[i%len(seeds)])
+		if err := fn(seeds[i%len(seeds)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// ord and oru adapt the two operators to runOp.
+func ord(tree *rtree.Tree, k, m int) func(geom.Vector) error {
+	return func(w geom.Vector) error {
+		_, err := core.ORDCtx(context.Background(), tree, w, k, m)
+		return err
+	}
+}
+
+func oru(tree *rtree.Tree, k, m int, opts core.ORUOptions) func(geom.Vector) error {
+	return func(w geom.Vector) error {
+		_, err := core.ORUWithCtx(context.Background(), tree, w, k, m, opts)
+		return err
 	}
 }
 
@@ -56,12 +75,12 @@ func runOp(b *testing.B, d int, fn func(w geom.Vector)) {
 
 func BenchmarkDefaultsORD(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
-	runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
+	runOp(b, benchD, ord(tree, benchK, benchM))
 }
 
 func BenchmarkDefaultsORU(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
-	runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
+	runOp(b, benchD, oru(tree, benchK, benchM, core.ORUOptions{}))
 }
 
 // --- Figure 6: case study operators on the NBA 2018-19 slice ---
@@ -76,18 +95,20 @@ func BenchmarkFig6CaseStudy(b *testing.B) {
 	w := geom.Vector{0.43, 0.57}
 	ops := []struct {
 		name string
-		fn   func()
+		fn   func(geom.Vector) error
 	}{
-		{"ORD", func() { core.ORDCtx(context.Background(), tree, w, 2, 6) }},
-		{"ORU", func() { core.ORUWithCtx(context.Background(), tree, w, 2, 6, core.ORUOptions{}) }},
-		{"TopM", func() { topk.TopK(tree, w, 6) }},
-		{"OSSSkyline", func() { osskyline.TopM(tree, 6) }},
+		{"ORD", ord(tree, 2, 6)},
+		{"ORU", oru(tree, 2, 6, core.ORUOptions{})},
+		{"TopM", func(w geom.Vector) error { topk.TopK(tree, w, 6); return nil }},
+		{"OSSSkyline", func(geom.Vector) error { osskyline.TopM(tree, 6); return nil }},
 	}
 	for _, op := range ops {
 		b.Run(op.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				op.fn()
+				if err := op.fn(w); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -112,7 +133,7 @@ func BenchmarkFig8Cardinality(b *testing.B) {
 	for _, n := range []int{10_000, 50_000, 200_000} {
 		tree := benchCache.Synthetic(data.IND, n, benchD)
 		b.Run(fmt.Sprintf("ORD/n=%d", n), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
+			runOp(b, benchD, ord(tree, benchK, benchM))
 		})
 	}
 }
@@ -121,7 +142,7 @@ func BenchmarkFig8Dimensionality(b *testing.B) {
 	for _, d := range []int{2, 3, 4, 5} {
 		tree := benchCache.Synthetic(data.IND, benchN, d)
 		b.Run(fmt.Sprintf("ORD/d=%d", d), func(b *testing.B) {
-			runOp(b, d, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
+			runOp(b, d, ord(tree, benchK, benchM))
 		})
 	}
 }
@@ -130,7 +151,7 @@ func BenchmarkFig8K(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, k := range []int{1, 5, 10} {
 		b.Run(fmt.Sprintf("ORD/k=%d", k), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, k, benchM) })
+			runOp(b, benchD, ord(tree, k, benchM))
 		})
 	}
 }
@@ -139,7 +160,7 @@ func BenchmarkFig8M(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, m := range []int{10, 30, 50} {
 		b.Run(fmt.Sprintf("ORD/m=%d", m), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, m) })
+			runOp(b, benchD, ord(tree, benchK, m))
 		})
 	}
 }
@@ -147,16 +168,16 @@ func BenchmarkFig8M(b *testing.B) {
 func BenchmarkFig8Competitors(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	b.Run("ORD", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
+		runOp(b, benchD, ord(tree, benchK, benchM))
 	})
 	b.Run("ORD-BSL", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORDBSL(tree, w, benchK, benchM) })
+		runOp(b, benchD, func(w geom.Vector) error { _, err := core.ORDBSL(tree, w, benchK, benchM); return err })
 	})
 	b.Run("RSB-5", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { fixedregion.RSB(tree, w, benchK, benchM, 0.05) })
+		runOp(b, benchD, func(w geom.Vector) error { fixedregion.RSB(tree, w, benchK, benchM, 0.05); return nil })
 	})
 	b.Run("RSB-10", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { fixedregion.RSB(tree, w, benchK, benchM, 0.10) })
+		runOp(b, benchD, func(w geom.Vector) error { fixedregion.RSB(tree, w, benchK, benchM, 0.10); return nil })
 	})
 }
 
@@ -166,7 +187,7 @@ func BenchmarkFig9Distributions(b *testing.B) {
 	for _, dist := range []data.Distribution{data.ANTI, data.COR, data.IND} {
 		tree := benchCache.Synthetic(dist, benchN, benchD)
 		b.Run(string(dist), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
+			runOp(b, benchD, ord(tree, benchK, benchM))
 		})
 	}
 }
@@ -175,7 +196,7 @@ func BenchmarkFig9RealDatasets(b *testing.B) {
 	for _, name := range []string{"HOTEL", "HOUSE", "NBA"} {
 		tree := benchCache.Named(name, 20_000)
 		b.Run(name, func(b *testing.B) {
-			runOp(b, tree.Dim(), func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
+			runOp(b, tree.Dim(), ord(tree, benchK, benchM))
 		})
 	}
 }
@@ -186,7 +207,7 @@ func BenchmarkFig10Cardinality(b *testing.B) {
 	for _, n := range []int{10_000, 50_000} {
 		tree := benchCache.Synthetic(data.IND, n, benchD)
 		b.Run(fmt.Sprintf("ORU/n=%d", n), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
+			runOp(b, benchD, oru(tree, benchK, benchM, core.ORUOptions{}))
 		})
 	}
 }
@@ -195,7 +216,7 @@ func BenchmarkFig10Dimensionality(b *testing.B) {
 	for _, d := range []int{2, 3, 4} {
 		tree := benchCache.Synthetic(data.IND, benchN, d)
 		b.Run(fmt.Sprintf("ORU/d=%d", d), func(b *testing.B) {
-			runOp(b, d, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
+			runOp(b, d, oru(tree, benchK, benchM, core.ORUOptions{}))
 		})
 	}
 }
@@ -204,7 +225,7 @@ func BenchmarkFig10K(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, k := range []int{1, 5} {
 		b.Run(fmt.Sprintf("ORU/k=%d", k), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, k, benchM, core.ORUOptions{}) })
+			runOp(b, benchD, oru(tree, k, benchM, core.ORUOptions{}))
 		})
 	}
 }
@@ -213,7 +234,7 @@ func BenchmarkFig10M(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	for _, m := range []int{10, 30} {
 		b.Run(fmt.Sprintf("ORU/m=%d", m), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, m, core.ORUOptions{}) })
+			runOp(b, benchD, oru(tree, benchK, m, core.ORUOptions{}))
 		})
 	}
 }
@@ -223,13 +244,13 @@ func BenchmarkFig10Competitors(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, 10_000, benchD)
 	const m = 20
 	b.Run("ORU", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, m, core.ORUOptions{}) })
+		runOp(b, benchD, oru(tree, benchK, m, core.ORUOptions{}))
 	})
 	b.Run("ORU-BSL", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORUBSL(tree, w, benchK, m, 0) })
+		runOp(b, benchD, func(w geom.Vector) error { _, err := core.ORUBSL(tree, w, benchK, m, 0); return err })
 	})
 	b.Run("JAA-10", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { fixedregion.JAA(tree, w, benchK, m, 0.10) })
+		runOp(b, benchD, func(w geom.Vector) error { fixedregion.JAA(tree, w, benchK, m, 0.10); return nil })
 	})
 }
 
@@ -239,7 +260,7 @@ func BenchmarkFig11Distributions(b *testing.B) {
 	for _, dist := range []data.Distribution{data.ANTI, data.COR, data.IND} {
 		tree := benchCache.Synthetic(dist, benchN, benchD)
 		b.Run(string(dist), func(b *testing.B) {
-			runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{}) })
+			runOp(b, benchD, oru(tree, benchK, benchM, core.ORUOptions{}))
 		})
 	}
 }
@@ -248,7 +269,7 @@ func BenchmarkFig11RealDatasets(b *testing.B) {
 	for _, name := range []string{"HOTEL", "HOUSE", "NBA"} {
 		tree := benchCache.Named(name, 20_000)
 		b.Run(name, func(b *testing.B) {
-			runOp(b, tree.Dim(), func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, 2, 10, core.ORUOptions{}) })
+			runOp(b, tree.Dim(), oru(tree, 2, 10, core.ORUOptions{}))
 		})
 	}
 }
@@ -261,10 +282,10 @@ func BenchmarkFig11RealDatasets(b *testing.B) {
 func BenchmarkAblationORDSwitch(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	b.Run("enhanced", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORDCtx(context.Background(), tree, w, benchK, benchM) })
+		runOp(b, benchD, ord(tree, benchK, benchM))
 	})
 	b.Run("full-skyband", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORDBSL(tree, w, benchK, benchM) })
+		runOp(b, benchD, func(w geom.Vector) error { _, err := core.ORDBSL(tree, w, benchK, benchM); return err })
 	})
 }
 
@@ -273,14 +294,10 @@ func BenchmarkAblationORDSwitch(b *testing.B) {
 func BenchmarkAblationORUPartitionBypass(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
 	b.Run("bypass", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) {
-			core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{})
-		})
+		runOp(b, benchD, oru(tree, benchK, benchM, core.ORUOptions{}))
 	})
 	b.Run("always-hull", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) {
-			core.ORUWithCtx(context.Background(), tree, w, benchK, benchM, core.ORUOptions{NoPartitionBypass: true})
-		})
+		runOp(b, benchD, oru(tree, benchK, benchM, core.ORUOptions{NoPartitionBypass: true}))
 	})
 }
 
@@ -290,10 +307,10 @@ func BenchmarkAblationORUGradual(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, 10_000, benchD)
 	const m = 20
 	b.Run("gradual", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORUWithCtx(context.Background(), tree, w, benchK, m, core.ORUOptions{}) })
+		runOp(b, benchD, oru(tree, benchK, m, core.ORUOptions{}))
 	})
 	b.Run("eager", func(b *testing.B) {
-		runOp(b, benchD, func(w geom.Vector) { core.ORUBSL(tree, w, benchK, m, 0) })
+		runOp(b, benchD, func(w geom.Vector) error { _, err := core.ORUBSL(tree, w, benchK, m, 0); return err })
 	})
 }
 
@@ -320,7 +337,7 @@ func BenchmarkSubstrateKSkyband(b *testing.B) {
 
 func BenchmarkSubstrateTopK(b *testing.B) {
 	tree := benchCache.Synthetic(data.IND, benchN, benchD)
-	runOp(b, benchD, func(w geom.Vector) { topk.TopK(tree, w, benchK) })
+	runOp(b, benchD, func(w geom.Vector) error { topk.TopK(tree, w, benchK); return nil })
 }
 
 func BenchmarkSubstrateRTreeBuild(b *testing.B) {

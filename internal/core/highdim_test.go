@@ -1,0 +1,173 @@
+package core
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"ordu/internal/data"
+	"ordu/internal/geom"
+	"ordu/internal/rtree"
+	"ordu/internal/skyband"
+	"ordu/internal/topk"
+)
+
+// checkWitnesses is Definition 2's soundness check at each region's
+// reported witness: the witness lies within MinDist of the seed and inside
+// the region, and there no record outside the region's top-k outscores
+// its k-th.
+func checkWitnesses(t *testing.T, name string, pts []geom.Vector, w geom.Vector, res *ORUResult) {
+	t.Helper()
+	for ri, reg := range res.Regions {
+		v := reg.Witness
+		if v == nil {
+			t.Fatalf("%s region %d: no witness", name, ri)
+		}
+		if dist := v.Dist(w); dist > reg.MinDist+1e-9 {
+			t.Fatalf("%s region %d: witness at %.12g from the seed, MinDist %.12g", name, ri, dist, reg.MinDist)
+		}
+		if !reg.Region.Contains(v) {
+			t.Fatalf("%s region %d: witness %v outside its region", name, ri, v)
+		}
+		in := map[int]bool{}
+		kth := 0.0
+		for i, r := range reg.TopK {
+			in[r.ID] = true
+			if s := r.Point.Dot(v); i == 0 || s < kth {
+				kth = s
+			}
+		}
+		for _, r := range topk.BruteTopK(pts, v, len(reg.TopK)) {
+			if !in[r.ID] && r.Score > kth+1e-9 {
+				t.Fatalf("%s region %d: record %d scores %.12g at the witness, above the region's k-th %.12g", name, ri, r.ID, r.Score, kth)
+			}
+		}
+	}
+}
+
+// TestORUAnswersWithinRhoBar: the candidates are complete only within
+// rho-bar, so an exploration that confirms m records past it must restart
+// with a larger estimate. On this query the first estimate's exploration
+// reaches rho 0.139378 with record 4285 tenth; the answer over the whole
+// 2-skyband has rho 0.132969 with 4490 tenth.
+func TestORUAnswersWithinRhoBar(t *testing.T) {
+	ctx := context.Background()
+	pts := data.NBA(10000, 1)
+	tree := rtree.BulkLoad(pts)
+	rng := rand.New(rand.NewSource(9))
+	var w geom.Vector
+	for i := 0; i < 99; i++ {
+		w = geom.RandSimplex(rng, 8)
+	}
+	const k, m = 2, 10
+	got, err := ORUWithCtx(ctx, tree, w, k, m, ORUOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := skyband.KSkybandForCtx(ctx, tree, w, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := newExplorer(cands, w, k, nil)
+	if !ex.seed() {
+		t.Fatal("full-skyband explorer has no seed region")
+	}
+	if complete, err := ex.explore(ctx, m); err != nil || !complete {
+		t.Fatalf("full-skyband explorer: complete %v, err %v", complete, err)
+	}
+	want := ex.result()
+	if !reflect.DeepEqual(got.Records, want.Records) || math.Abs(got.Rho-want.Rho) > 1e-9 {
+		t.Fatalf("ORU answers rho %.6g with %v; the full 2-skyband gives rho %.6g with %v", got.Rho, recordIDs(got.Records), want.Rho, recordIDs(want.Records))
+	}
+	if want.Records[m-1].ID != 4490 {
+		t.Fatalf("full-skyband answer's 10th record is %d, want 4490", want.Records[m-1].ID)
+	}
+	checkWitnesses(t, "NBA", pts, w, got)
+}
+
+func recordIDs(rs []Record) []int {
+	out := make([]int, len(rs))
+	for i, r := range rs {
+		out[i] = r.ID
+	}
+	return out
+}
+
+// TestORUWitnessSound: every region's reported witness passes the
+// Definition-2 check, below and from hull.PairwiseDim.
+func TestORUWitnessSound(t *testing.T) {
+	sets := []struct {
+		name string
+		pts  []geom.Vector
+		k, m int
+	}{
+		{"IND d=3", data.Synthetic(data.IND, 3000, 3, 1), 3, 12},
+		{"ANTI d=4", data.Synthetic(data.ANTI, 2000, 4, 1), 2, 10},
+		{"ANTI d=5", data.Synthetic(data.ANTI, 2000, 5, 1), 2, 10},
+		{"NBA d=8", data.NBA(5000, 1), 2, 10},
+	}
+	rng := rand.New(rand.NewSource(151))
+	for _, s := range sets {
+		tree := rtree.BulkLoad(s.pts)
+		for q := 0; q < 4; q++ {
+			w := geom.RandSimplex(rng, tree.Dim())
+			res, err := ORUWithCtx(context.Background(), tree, w, s.k, s.m, ORUOptions{})
+			if err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			checkWitnesses(t, s.name, s.pts, w, res)
+		}
+	}
+}
+
+// gridPoints draws every coordinate from {0, 1/4, 1/2, 3/4, 1}: exact ties
+// everywhere and, at n = 3000, many exact duplicates.
+func gridPoints(n, d int, seed int64) []geom.Vector {
+	rng := rand.New(rand.NewSource(seed))
+	pts := make([]geom.Vector, n)
+	for i := range pts {
+		p := make(geom.Vector, d)
+		for j := range p {
+			p[j] = float64(rng.Intn(5)) / 4
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// TestORUGridDuplicates: on grid data with exact duplicates, at d = 5 and
+// 6, ORU returns m records and every region passes the witness check. The
+// seeds are grids whose 2-skyband holds at least m records (on others, a
+// few copies of the all-ones corner top the whole domain, and
+// ErrInsufficientData is the right answer). Copies of a record must share
+// an upper-hull layer: split across successive layers, as the Builder
+// splits them, a third copy lands past layer k-1, where Theorem 1 never
+// looks, and every query on the d=5 grids fails with ErrInsufficientData.
+func TestORUGridDuplicates(t *testing.T) {
+	const k, m = 2, 10
+	grids := []struct {
+		d    int
+		seed int64
+	}{{5, 3}, {5, 6}, {5, 8}, {6, 1}, {6, 2}}
+	for _, g := range grids {
+		pts := gridPoints(3000, g.d, g.seed)
+		tree := rtree.BulkLoad(pts)
+		if n := len(skyband.KSkyband(tree, k)); n < m {
+			t.Fatalf("d=%d seed %d: the 2-skyband holds %d records, fewer than m", g.d, g.seed, n)
+		}
+		rng := rand.New(rand.NewSource(g.seed))
+		for q := 0; q < 5; q++ {
+			w := geom.RandSimplex(rng, g.d)
+			res, err := ORUWithCtx(context.Background(), tree, w, k, m, ORUOptions{})
+			if err != nil {
+				t.Fatalf("d=%d seed %d query %d: %v", g.d, g.seed, q, err)
+			}
+			if len(res.Records) != m {
+				t.Fatalf("d=%d seed %d query %d: %d records, want %d", g.d, g.seed, q, len(res.Records), m)
+			}
+			checkWitnesses(t, "grid", pts, w, res)
+		}
+	}
+}

@@ -519,11 +519,11 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 	ws.ids = ids
 	var memberIDs []int
 	adjOf := func(id int) []int { return nil }
-	// Above d=4 the facet count of an upper hull grows so fast (Upper Bound
-	// Theorem) that the all-pairs formulation wins for any union size the
-	// search produces in practice.
+	// From hull.PairwiseDim up the facet count of an upper hull grows so
+	// fast (Upper Bound Theorem) that the all-pairs formulation wins for any
+	// union size the search produces in practice.
 	bypass := 8
-	if len(e.w) >= 5 {
+	if len(e.w) >= hull.PairwiseDim {
 		bypass = 1 << 30
 	}
 	if e.noBypass {
@@ -624,11 +624,11 @@ func witnessInside(w geom.Vector, hs []region.Halfspace) bool {
 
 // finalize records a completed region and its newly confirmed records, then
 // recycles the node. The retained TopKRegion keeps n.reg's constraint rows
-// by reference, so the node's pooled buffers are detached (left to the
-// output) before the node returns to the free list; the next region built
-// on the recycled node simply grows fresh buffers. Batched partitions that
-// order no later than n in the heap are ones the one-at-a-time order
-// reaches before n, so they leave e.ahead.
+// and n.witness by reference, so the node's pooled buffers are detached
+// (left to the output) before the node returns to the free list; the next
+// region built on the recycled node simply grows fresh buffers. Batched
+// partitions that order no later than n in the heap are ones the
+// one-at-a-time order reaches before n, so they leave e.ahead.
 func (e *explorer) finalize(n *regionNode) {
 	e.stats.RegionsFinalized++
 	e.ahead = slices.DeleteFunc(e.ahead, func(a regionNode) bool { return !n.Less(&a) })
@@ -640,10 +640,11 @@ func (e *explorer) finalize(n *regionNode) {
 			e.records = append(e.records, Record{ID: id, Point: e.layers.Point(id)})
 		}
 	}
-	e.regions = append(e.regions, TopKRegion{Region: n.reg, TopK: tk, MinDist: n.mindist})
+	e.regions = append(e.regions, TopKRegion{Region: n.reg, TopK: tk, MinDist: n.mindist, Witness: n.witness})
 	n.reg = region.Region{}
 	n.hsBuf = nil
 	n.hsBack = nil
+	n.witness = nil
 	e.ws.recycle(n)
 }
 
@@ -651,10 +652,19 @@ func (e *explorer) finalize(n *regionNode) {
 // the radius at which the incremental rho-skyline's upper hull first holds
 // `target` extreme vertices. exhausted reports that the skyline ran dry
 // first (the returned radius is then +Inf, i.e. the whole k-skyband is the
-// candidate set).
+// candidate set). From hull.PairwiseDim up the fetched records are counted
+// with one QP each (hull.Extremes) instead of through an incremental hull.
 func estimateRhoBar(ctx context.Context, tree *rtree.Tree, w geom.Vector, target int) (rhoBar float64, exhausted bool, fetched int, err error) {
 	ird := skyband.NewIRD(tree, w, 1)
-	b := hull.NewBuilder(tree.Dim())
+	var b interface {
+		Add(id int, p geom.Vector)
+		MemberCount() int
+	}
+	if d := tree.Dim(); d >= hull.PairwiseDim {
+		b = hull.NewExtremes(d)
+	} else {
+		b = hull.NewBuilder(d)
+	}
 	rho := 0.0
 	for {
 		rel, ok, err := ird.NextCtx(ctx)
@@ -696,11 +706,12 @@ type ORUOptions struct {
 // incremental rho-skyline, candidate restriction to the rho-bar-skyband,
 // and best-first exploration of the implicit region tree with lazily
 // computed upper-hull layers, partitioning GOMAXPROCS regions at a time.
-// Should the estimate ever prove too small (possible only on degenerate
-// inputs), the estimation target is doubled and the search restarted,
-// preserving exactness. The rho-bar estimation, the candidate retrieval and
-// the exploration all poll ctx and abort with an error wrapping ctx.Err()
-// once it is done.
+// The candidates are complete only within rho-bar, so when the estimate
+// proves too small — the exploration cannot confirm m records, or confirms
+// them past rho-bar (a few percent of NBA d=8 queries) — the estimation
+// target is doubled and the search restarted, preserving exactness. The
+// rho-bar estimation, the candidate retrieval and the exploration all poll
+// ctx and abort with an error wrapping ctx.Err() once it is done.
 func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, opts ORUOptions) (*ORUResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
@@ -724,8 +735,10 @@ func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, 
 				return nil, exErr
 			}
 			if complete {
-				ex.stats.LayersComputed = ex.layers.Computed()
-				return ex.result(), nil
+				if res := ex.result(); res.Rho <= rhoBar {
+					res.Stats.LayersComputed = ex.layers.Computed()
+					return res, nil
+				}
 			}
 		}
 		if exhausted {

@@ -60,6 +60,9 @@ type TopKRegion struct {
 	Region  region.Region
 	TopK    []Record
 	MinDist float64
+	// Witness is the region's point closest to the seed (within the clip
+	// polytope, for EnumerateWithin), at distance MinDist.
+	Witness geom.Vector
 }
 
 // ORUResult is the output of an ORU query.

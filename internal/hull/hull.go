@@ -15,6 +15,9 @@
 // their coordinates to enforce general position, which the paper assumes
 // throughout; all outputs (adjacency, norms) are reported for the original
 // coordinates.
+//
+// From PairwiseDim up, ORU's layers and rho-bar count use no hull at all:
+// one feasibility QP per record answers the same membership question.
 package hull
 
 import (
@@ -24,7 +27,6 @@ import (
 
 	"ordu/internal/geom"
 	"ordu/internal/linalg"
-	"ordu/internal/qp"
 )
 
 // Upper is the upper hull of a point set with its facet structure.
@@ -63,9 +65,9 @@ type facet struct {
 }
 
 // Builder incrementally constructs a convex hull and exposes upper-hull
-// snapshots. It is the engine behind both one-shot ComputeUpper calls and
-// the incremental hull maintenance of ORU's rho-bar estimation
-// (Section 5.3). A Builder reuses its insertion scratch (visible/horizon
+// snapshots. It is the engine behind both one-shot ComputeUpper calls and,
+// below PairwiseDim, the incremental hull maintenance of ORU's rho-bar
+// estimation (Section 5.3). A Builder reuses its insertion scratch (visible/horizon
 // lists, ridge-matching map, facet structs from the free list) across Add
 // calls; it is not goroutine-safe.
 type Builder struct {
@@ -101,9 +103,8 @@ type Builder struct {
 	chunkOff int
 
 	// Membership-test scratch (canTop), reused across Upper calls.
-	qpws     qp.Workspace
-	qppr     qp.Problem
-	diffFlat []float64
+	top    topTest
+	nbrPts [][]float64
 
 	// MemberCount/UpperAdjInto scratch: per-internal-index generation
 	// stamps, the packed co-facet pair list, and the member ordering buffer.
@@ -234,9 +235,7 @@ func (b *Builder) Add(id int, p geom.Vector) {
 		panic(fmt.Sprintf("hull: point dim %d, builder dim %d", len(p), b.dim)) //ordlint:allow nopanic — documented precondition; caller bug, not data-dependent
 	}
 	w := b.allocPoint()
-	for j := range w {
-		w[j] = p[j] + jitterScale*jitter(p, j)
-	}
+	jitterInto(w, p)
 	if !b.started {
 		b.bootstrap(w)
 	}
@@ -769,38 +768,16 @@ func (b *Builder) Upper() *Upper {
 }
 
 // canTop reports whether some preference vector makes p score at least as
-// high as all points in adj (and hence as the whole hull). The constraint
-// system is assembled from the cached per-dimension simplex rows plus the
-// builder's flat difference buffer.
+// high as all points in adj (and hence as the whole hull).
 //
 //ordlint:noalloc
 func (b *Builder) canTop(p geom.Vector, adj map[int]bool, ptOf map[int]geom.Vector) bool {
-	d := b.dim
-	if len(adj) == 0 {
-		return true
-	}
-	pr := &b.qppr
-	pr.P = geom.SimplexOnes(d) // any target; only feasibility matters
-	pr.EqA = append(pr.EqA[:0], geom.SimplexOnes(d))
-	pr.EqB = append(pr.EqB[:0], 1)
-	pr.InA = append(pr.InA[:0], geom.SimplexAxes(d)...)
-	pr.InB = append(pr.InB[:0], geom.SimplexZeros(d)...)
-	need := len(adj) * d
-	if cap(b.diffFlat) < need {
-		b.diffFlat = make([]float64, need)
-	}
-	flat := b.diffFlat[:0]
+	others := b.nbrPts[:0]
 	for o := range adj {
-		q := ptOf[o]
-		lo := len(flat)
-		for j := 0; j < d; j++ {
-			flat = append(flat, p[j]-q[j])
-		}
-		pr.InA = append(pr.InA, flat[lo:len(flat):len(flat)])
-		pr.InB = append(pr.InB, 0)
+		others = append(others, ptOf[o])
 	}
-	b.diffFlat = flat[:0]
-	return b.qpws.Feasible(pr)
+	b.nbrPts = others
+	return b.top.canTop(p, others)
 }
 
 // isUpper reports whether f is an upper facet: all-real vertices and a
@@ -1117,33 +1094,12 @@ func (b *Builder) UpperAdjInto(s *AdjSnapshot) {
 //
 //ordlint:noalloc
 func (b *Builder) canTopIdx(v int, nbrs []int) bool {
-	if len(nbrs) == 0 {
-		return true
-	}
-	d := b.dim
-	p := b.pts[v]
-	pr := &b.qppr
-	pr.P = geom.SimplexOnes(d)
-	pr.EqA = append(pr.EqA[:0], geom.SimplexOnes(d))
-	pr.EqB = append(pr.EqB[:0], 1)
-	pr.InA = append(pr.InA[:0], geom.SimplexAxes(d)...)
-	pr.InB = append(pr.InB[:0], geom.SimplexZeros(d)...)
-	need := len(nbrs) * d
-	if cap(b.diffFlat) < need {
-		b.diffFlat = make([]float64, need)
-	}
-	flat := b.diffFlat[:0]
+	others := b.nbrPts[:0]
 	for _, o := range nbrs {
-		q := b.pts[o]
-		lo := len(flat)
-		for j := 0; j < d; j++ {
-			flat = append(flat, p[j]-q[j])
-		}
-		pr.InA = append(pr.InA, flat[lo:len(flat):len(flat)])
-		pr.InB = append(pr.InB, 0)
+		others = append(others, b.pts[o])
 	}
-	b.diffFlat = flat[:0]
-	return b.qpws.Feasible(pr)
+	b.nbrPts = others
+	return b.top.canTop(b.pts[v], others)
 }
 
 // ComputeUpper computes the upper hull of the given records in one shot.

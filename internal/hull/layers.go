@@ -12,6 +12,15 @@ import (
 // after peeling layers 0..t-1 (Section 5.1 of the paper, with the paper's
 // 1-based L_i corresponding to Layer(i-1)). ORU computes layers on its
 // candidate set strictly on demand, so construction does no work.
+//
+// At d >= PairwiseDim a layer is peeled without a hull: a remaining record
+// is a member when it can score at least as high as every other remaining
+// record somewhere on the simplex, the Builder's own membership criterion,
+// tested with one QP per record on the Builder's jittered coordinates.
+// Exact duplicates share a layer. Each member's Adj lists every other
+// member of its layer, a superset of co-facet adjacency and so still a
+// superset of the rows that define its top-region C(r); Facets, Norms and
+// FacetsOf stay empty. ORU reads only MemberIDs and Adj.
 type Layers struct {
 	points    map[int]geom.Vector
 	remaining map[int]bool
@@ -69,15 +78,20 @@ func (ls *Layers) Layer(t int) *Upper {
 		}
 		ls.idsBuf = ids
 		ls.ptsBuf = pts
-		if ls.b == nil {
-			ls.b = NewBuilder(ls.dim)
+		var u *Upper
+		if ls.dim >= PairwiseDim {
+			u = peelPairwise(ids, pts)
 		} else {
-			ls.b.Reset(ls.dim)
+			if ls.b == nil {
+				ls.b = NewBuilder(ls.dim)
+			} else {
+				ls.b.Reset(ls.dim)
+			}
+			for i, id := range ids {
+				ls.b.Add(id, pts[i])
+			}
+			u = ls.b.Upper()
 		}
-		for i, id := range ids {
-			ls.b.Add(id, pts[i])
-		}
-		u := ls.b.Upper()
 		if len(u.MemberIDs) == 0 {
 			// Cannot happen for non-empty input (the degenerate fallback
 			// returns maximal points), but guard against infinite loops.

@@ -89,7 +89,8 @@ type RegionTopK struct {
 	TopK []Result
 	// MinDist is the region's distance from the seed vector.
 	MinDist float64
-	// Witness is a preference vector inside the region.
+	// Witness is the region's preference vector closest to the seed, at
+	// distance MinDist.
 	Witness []float64
 }
 
@@ -373,12 +374,9 @@ func (ds *Dataset) ORUCtx(ctx context.Context, w []float64, k, m int) (*ORUResul
 		out.Records = append(out.Records, Result{ID: r.ID, Record: r.Point, Score: v.Dot(r.Point)})
 	}
 	for _, reg := range res.Regions {
-		rt := RegionTopK{MinDist: reg.MinDist}
+		rt := RegionTopK{MinDist: reg.MinDist, Witness: reg.Witness}
 		for _, r := range reg.TopK {
 			rt.TopK = append(rt.TopK, Result{ID: r.ID, Record: r.Point})
-		}
-		if wit, ok := reg.Region.FeasiblePoint(); ok {
-			rt.Witness = wit
 		}
 		out.Regions = append(out.Regions, rt)
 	}

@@ -168,6 +168,14 @@ func TestORUPublicAPI(t *testing.T) {
 		if reg.Witness == nil {
 			t.Fatalf("region %d has no witness", i)
 		}
+		// The witness is the region's point closest to the seed.
+		d2 := 0.0
+		for j, x := range reg.Witness {
+			d2 += (x - w[j]) * (x - w[j])
+		}
+		if d := math.Sqrt(d2); d > reg.MinDist+1e-9 {
+			t.Fatalf("region %d: witness at %g from the seed, MinDist %g", i, d, reg.MinDist)
+		}
 		if i > 0 && reg.MinDist < res.Regions[i-1].MinDist-1e-12 {
 			t.Fatal("regions not sorted by mindist")
 		}
