@@ -10,7 +10,9 @@
 //
 // Inputs may be raw `go test -bench` output or a JSON snapshot produced by
 // -dump; the format is auto-detected. Benchmarks present in only one input
-// are reported but never fail the diff (suites grow and shrink).
+// are reported but never fail the diff (suites grow and shrink). A snapshot
+// keeps the run's goos/goarch/pkg/cpu header lines; a diff prints both
+// sides' and notes, without failing, when they come from different hosts.
 package main
 
 import (
@@ -37,7 +39,32 @@ type Result struct {
 
 // Snapshot is the committed JSON form of a bench run.
 type Snapshot struct {
+	// Machine is nil for snapshots taken before it was recorded.
+	Machine    *Machine `json:"machine,omitempty"`
 	Benchmarks []Result `json:"benchmarks"`
+}
+
+// Machine is the host of a bench run, from the header lines `go test
+// -bench` prints before the results.
+type Machine struct {
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+}
+
+// String renders the machine on one line, "unknown" when unrecorded.
+func (m *Machine) String() string {
+	if m == nil {
+		return "unknown"
+	}
+	return fmt.Sprintf("goos=%s goarch=%s pkg=%s cpu=%s", m.GOOS, m.GOARCH, m.Pkg, m.CPU)
+}
+
+// sameHost reports whether both runs are known to come from the same kind
+// of host; the benchmarked packages do not matter.
+func sameHost(a, b *Machine) bool {
+	return a == nil || b == nil || (a.GOOS == b.GOOS && a.GOARCH == b.GOARCH && a.CPU == b.CPU)
 }
 
 func main() {
@@ -92,6 +119,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "benchdiff: %v\n", err)
 		return 2
+	}
+	fmt.Fprintf(stdout, "old machine: %s\nnew machine: %s\n", oldSnap.Machine, newSnap.Machine)
+	if !sameHost(oldSnap.Machine, newSnap.Machine) {
+		fmt.Fprintln(stdout, "note: the runs come from different machines; their times are not comparable")
 	}
 	if *allocsOnly {
 		// Disable the time comparison: allocation counts are deterministic
@@ -219,6 +250,7 @@ func loadFile(path string) (*Snapshot, error) {
 // taken with different parallelism.
 func parseBench(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{}
+	var m Machine
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	uniform, suffix := true, ""
@@ -226,6 +258,18 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if !strings.HasPrefix(line, "Benchmark") {
+			key, val, _ := strings.Cut(line, ":")
+			val = strings.TrimSpace(val)
+			switch key {
+			case "goos":
+				m.GOOS = val
+			case "goarch":
+				m.GOARCH = val
+			case "cpu":
+				m.CPU = val
+			case "pkg":
+				m.Pkg = val
+			}
 			continue
 		}
 		fields := strings.Fields(line)
@@ -269,6 +313,9 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if m != (Machine{}) {
+		snap.Machine = &m
 	}
 	if uniform && suffix != "" {
 		for i := range snap.Benchmarks {

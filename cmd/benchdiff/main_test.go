@@ -212,3 +212,63 @@ func TestMissingBenchmarksNeverFail(t *testing.T) {
 		t.Fatalf("disjoint suites flagged as regression (exit %d):\n%s", code, out.String())
 	}
 }
+
+func TestMachineMetadata(t *testing.T) {
+	snap, err := parseBench(strings.NewReader(sampleOld))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Machine{GOOS: "linux", GOARCH: "amd64", Pkg: "ordu", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz"}
+	if snap.Machine == nil || *snap.Machine != want {
+		t.Fatalf("machine = %v, want %v", snap.Machine, &want)
+	}
+	// -dump keeps it, and the JSON snapshot reads it back.
+	var dumped, errOut bytes.Buffer
+	if code := run([]string{"-dump", writeTemp(t, "old.txt", sampleOld)}, &dumped, &errOut); code != 0 {
+		t.Fatalf("dump exited %d: %s", code, errOut.String())
+	}
+	oldP := writeTemp(t, "old.json", dumped.String())
+	if back, err := loadFile(oldP); err != nil || back.Machine == nil || *back.Machine != want {
+		t.Fatalf("round trip: machine %v, err %v", back, err)
+	}
+
+	other := strings.Replace(sampleOld, "cpu: Intel(R) Xeon(R) Processor @ 2.10GHz", "cpu: AMD EPYC 7B13", 1)
+	for _, c := range []struct {
+		name, newRun, note string
+	}{
+		{"same host", sampleOld, ""},
+		{"other cpu", other, "different machines"},
+		{"unrecorded", sampleNewOK, ""},
+	} {
+		var out bytes.Buffer
+		errOut.Reset()
+		if code := run([]string{oldP, writeTemp(t, "new.txt", c.newRun)}, &out, &errOut); code != 0 {
+			t.Fatalf("%s: exit %d (a machine mismatch must not fail):\n%s", c.name, code, out.String())
+		}
+		if !strings.Contains(out.String(), "old machine: "+want.String()) {
+			t.Errorf("%s: old machine line missing:\n%s", c.name, out.String())
+		}
+		if got := strings.Contains(out.String(), "different machines"); got != (c.note != "") {
+			t.Errorf("%s: mismatch note printed = %v:\n%s", c.name, got, out.String())
+		}
+	}
+}
+
+// TestCommittedSnapshotsLoad: snapshots committed before the machine field
+// existed still load, and a diff reports their machine as unknown.
+func TestCommittedSnapshotsLoad(t *testing.T) {
+	for _, tag := range []string{"pr3", "pr6", "pr8"} {
+		p := filepath.Join("..", "..", "BENCH_"+tag+".json")
+		snap, err := loadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Benchmarks) == 0 || snap.Machine != nil {
+			t.Fatalf("%s: %d benchmarks, machine %v", p, len(snap.Benchmarks), snap.Machine)
+		}
+		var out, errOut bytes.Buffer
+		if code := run([]string{"-allocs-only", p, p}, &out, &errOut); code != 0 || !strings.Contains(out.String(), "new machine: unknown") {
+			t.Fatalf("%s: self-diff exit %d:\n%s%s", p, code, out.String(), errOut.String())
+		}
+	}
+}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -40,7 +42,6 @@ type regionNode struct {
 	deepest int // deepest layer index among the top records
 	mindist float64
 	witness geom.Vector // the point of the region closest to the seed
-	exact   bool        // mindist is the region's true mindist, not a bound
 	final   bool        // candidates ran out inside the region: top is final
 }
 
@@ -64,7 +65,7 @@ func (n *regionNode) Less(o *regionNode) bool {
 // exploreWS is the per-worker scratch of the region search: the QP-backed
 // region workspace, the partition candidate/visited sets and buffers, and a
 // regionNode free list. One exploreWS per goroutine; partition only ever
-// touches the workspace it is handed.
+// touches the workspace it is handed (and reads the explorer's L_upd memo).
 type exploreWS struct {
 	reg     region.Workspace
 	inTop   map[int]bool
@@ -78,12 +79,15 @@ type exploreWS struct {
 	// flood (beatAllScratch); invalidated probe to probe, never retained.
 	floodBack []float64
 	// kids is the pooled children slice handed out by partition; callers
-	// consume it (pushBound every child) before the next partition call on
-	// the same workspace, which reuses it.
+	// consume it (push every child) before the next partition call on the
+	// same workspace, which reuses it.
 	kids []*regionNode
 	free []*regionNode
-	hb   *hull.Builder    // pooled L_upd hull builder (Reset per partition)
-	upd  hull.AdjSnapshot // pooled L_upd members+adjacency extraction
+	hb   *hull.Builder // pooled L_upd hull builder (Reset per partition)
+	key  []byte        // memo key of the union being partitioned
+	// built holds the L_upd hulls this slot built during the current batch,
+	// for the main goroutine to add to the memo once the batch is done.
+	built map[string]*hull.AdjSnapshot
 }
 
 // node returns a recycled regionNode (fields reset, buffers retained) or a
@@ -126,7 +130,7 @@ type explorer struct {
 	pushed map[int]bool   // layer-0 members whose top-region was pushed
 	clip   *region.Region // nil: unrestricted (ball mode)
 	stats  Stats
-	ws     exploreWS // main-goroutine scratch (batch slot 0, push, resolve)
+	ws     exploreWS // main-goroutine scratch (batch slot 0, root pushes)
 	width  int       // regions partitioned per batch: GOMAXPROCS at construction
 	// ahead holds the heap keys (mindist and top list) of partitioned
 	// regions that joined a batch behind its first and that no finalization
@@ -138,6 +142,11 @@ type explorer struct {
 	regions  []TopKRegion
 	budget   int  // max partitionings; 0 = unlimited
 	noBypass bool // ablation: always build L_upd hulls, even for tiny unions
+	// memo holds every L_upd hull built so far, keyed by its candidate
+	// union: regions with the same top set in another order share their
+	// union. Batched partitions only read it; the main goroutine fills it
+	// between batches.
+	memo map[string]*hull.AdjSnapshot
 }
 
 // newExplorer builds an explorer over the candidate records.
@@ -156,6 +165,7 @@ func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Regi
 		clip:   clip,
 		outSet: make(map[int]bool),
 		width:  runtime.GOMAXPROCS(0),
+		memo:   make(map[string]*hull.AdjSnapshot),
 	}
 }
 
@@ -239,20 +249,20 @@ func (e *explorer) buildNodeRegion(child *regionNode, parent region.Region, id i
 }
 
 // resolve computes the node's exact mindist and witness (within the clip,
-// when set). It reports false — and recycles the node — when the region is
-// empty. The node's stored mindist must be a valid lower bound on entry
-// (the parent's mindist for partition children, 0 for roots): the child
-// region is a subset of its parent's, so its true mindist can never be
-// smaller, and clamping absorbs the solver's last-ulp noise — keeping the
-// finalization order provably monotone. Only called from the main goroutine.
-func (e *explorer) resolve(n *regionNode) bool {
+// when set) on ws. It reports false — and recycles the node to ws — when the
+// region is empty. The node's stored mindist must be a valid lower bound on
+// entry (the parent's mindist for partition children, 0 for roots): the
+// child region is a subset of its parent's, so its true mindist can never
+// be smaller, and clamping absorbs the solver's last-ulp noise — keeping the
+// finalization order provably monotone.
+func (e *explorer) resolve(n *regionNode, ws *exploreWS) bool {
 	var clipHs []region.Halfspace
 	if e.clip != nil {
 		clipHs = e.clip.Hs
 	}
-	dist, closest, ok := n.reg.ProbeMinDist(clipHs, e.w, &e.ws.reg)
+	dist, closest, ok := n.reg.ProbeMinDist(clipHs, e.w, &ws.reg)
 	if !ok {
-		e.ws.recycle(n)
+		ws.recycle(n)
 		return false
 	}
 	if dist < n.mindist {
@@ -262,32 +272,17 @@ func (e *explorer) resolve(n *regionNode) bool {
 	// closest aliases the workspace's solution buffer; copy it into the
 	// node's own (reused) witness buffer.
 	n.witness = append(n.witness[:0], closest...)
-	n.exact = true
 	return true
 }
 
-// push computes the node's mindist eagerly and enqueues it; empty regions
-// are dropped (and their nodes recycled). Used for root-level regions,
-// which have no parent bound to inherit (their lower bound is 0).
+// push resolves a root-level region and enqueues it; empty regions are
+// dropped (and their nodes recycled). Roots have no parent bound to
+// inherit, so their lower bound is 0.
 func (e *explorer) push(n *regionNode) {
 	n.mindist = 0
-	if !e.resolve(n) {
-		return
+	if e.resolve(n, &e.ws) {
+		e.h.Push(n)
 	}
-	e.h.Push(n)
-}
-
-// pushBound enqueues a partition child keyed by its parent's mindist — a
-// valid lower bound, since the child region is a subset of the parent's.
-// The exact mindist (one projection QP) is deferred to the moment the node
-// is actually popped; nodes still in the heap when the search stops never
-// pay for it. The heap's tie-break is the node's own top list, so the
-// exact-key pop order (and hence all output) is identical to the eager
-// strategy, ties included.
-func (e *explorer) pushBound(n *regionNode, bound float64) {
-	n.mindist = bound
-	n.exact = false
-	e.h.Push(n)
 }
 
 // explore runs the best-first loop. With targetM > 0 it stops as soon as
@@ -324,21 +319,14 @@ func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err
 		}
 		batch = batch[:0]
 		for len(batch) < e.width && e.h.Len() > 0 && e.joins(*e.h.Peek(), batch) {
-			if n := e.pop(); n != nil {
-				batch = append(batch, n)
-			}
+			batch = append(batch, e.pop())
 		}
 		if len(batch) == 0 {
-			if e.h.Len() == 0 {
-				break // the last regions popped were empty
-			}
 			// The heap top is a final (Case-2) region.
-			if n := e.pop(); n != nil {
-				e.finalize(n)
-				if targetM > 0 && len(e.records) >= targetM {
-					e.stats.RegionsPartitioned -= len(e.ahead)
-					return true, nil
-				}
+			e.finalize(e.pop())
+			if targetM > 0 && len(e.records) >= targetM {
+				e.stats.RegionsPartitioned -= len(e.ahead)
+				return true, nil
 			}
 			continue
 		}
@@ -371,23 +359,24 @@ func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err
 		}
 		children[0] = e.partition(batch[0], slots[0])
 		wg.Wait()
+		// The batch is done: publish the hulls its partitions built.
+		for _, ws := range slots[:len(batch)] {
+			maps.Copy(e.memo, ws.built)
+			clear(ws.built)
+		}
 		for i, n := range batch {
 			if i > 0 {
 				e.ahead = append(e.ahead, regionNode{mindist: n.mindist, top: slices.Clone(n.top)})
 			}
-			if children[i] == nil {
-				// Candidates exhausted inside this region: the top list
-				// cannot grow further (only possible when the candidate set
-				// is smaller than k). Re-queue it, keeping its key, to be
-				// finalized short in mindist order.
-				n.final = true
+			if n.final {
+				// Re-queue it, keeping its key, to be finalized short in
+				// mindist order.
 				e.h.Push(n)
 				continue
 			}
-			bound := n.mindist
 			e.ws.recycle(n) // children re-derive everything they need
 			for _, c := range children[i] {
-				e.pushBound(c, bound)
+				e.h.Push(c)
 			}
 		}
 	}
@@ -406,20 +395,12 @@ func (e *explorer) joins(n *regionNode, batch []*regionNode) bool {
 	return len(batch) == 0 || n.deepest <= batch[0].deepest || n.deepest+1 < e.layers.Computed()
 }
 
-// pop removes the heap top. A bound-keyed child is resolved to its exact
-// mindist and re-inserted (or dropped when its region turns out empty),
-// and pop returns nil. An exact node is returned — a pooled node, the
-// caller's until it finalizes or recycles it; a top-1 region first extends
-// the root level lazily along its layer-0 adjacency — under k = 1 too,
-// where the region is also finalized immediately.
+// pop removes and returns the heap top — a pooled node, the caller's until
+// it finalizes or recycles it. A top-1 region first extends the root level
+// lazily along its layer-0 adjacency — under k = 1 too, where the region is
+// also finalized immediately.
 func (e *explorer) pop() *regionNode {
 	n := e.h.Pop()
-	if !n.exact {
-		if e.resolve(n) {
-			e.h.Push(n)
-		}
-		return nil
-	}
 	if len(n.top) == 1 {
 		l0 := e.layers.Layer(0)
 		for _, a := range l0.Adj[n.top[0]] {
@@ -432,14 +413,16 @@ func (e *explorer) pop() *regionNode {
 // partition applies Theorem 1 to a popped region: the next-ranked record
 // anywhere in it comes from Set (i) (records adjacent to a top member in
 // its own layer) or Set (ii) (next-layer records whose top-region overlaps
-// the region). It returns one child per possible next record, or nil when
-// no next record exists. All scratch state comes from ws (one per
-// goroutine); the layers structure is only read.
+// the region). It returns one resolved child per next record whose region
+// is not empty. When no next record exists it marks n final instead. All
+// scratch state comes from ws (one per goroutine); the layers structure and
+// the memo are only read.
 func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 	if ws.inTop == nil {
 		ws.inTop = make(map[int]bool)
 		ws.cand = make(map[int]bool)
 		ws.visited = make(map[int]bool)
+		ws.built = make(map[string]*hull.AdjSnapshot)
 	}
 	inTop := ws.inTop
 	clear(inTop)
@@ -507,6 +490,9 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 		ws.queue = queue[:0]
 	}
 	if len(cand) == 0 {
+		// The top list cannot grow further (only possible when the
+		// candidate set is smaller than k).
+		n.final = true
 		return nil
 	}
 	// L_upd: the upper hull of the candidate union; its top-regions
@@ -532,7 +518,7 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 	if len(ids) <= bypass {
 		// Small unions: skip the hull and constrain each candidate against
 		// all the others. Non-extreme candidates simply yield empty child
-		// regions, which the push discards — same partition, fewer QPs than
+		// regions, which resolve discards — same partition, fewer QPs than
 		// the hull's membership tests would cost.
 		memberIDs = ids
 		adjOf = func(id int) []int {
@@ -546,24 +532,42 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 			return others
 		}
 	} else {
-		// Pooled builder: the facet free list and point arena stay warm
-		// across the thousands of partition calls of one exploration.
-		if ws.hb == nil {
-			ws.hb = hull.NewBuilder(len(e.w))
-		} else {
-			ws.hb.Reset(len(e.w))
-		}
+		// The memo key is the sorted union, varint-encoded; looking it up
+		// with string(key) does not allocate, storing it copies it.
+		key := ws.key[:0]
 		for _, id := range ids {
-			ws.hb.Add(id, e.layers.Point(id))
+			key = binary.AppendVarint(key, int64(id))
 		}
-		ws.hb.UpperAdjInto(&ws.upd)
-		memberIDs = ws.upd.MemberIDs
-		adjOf = ws.upd.Adj
+		ws.key = key
+		upd := e.memo[string(key)]
+		if upd == nil {
+			// Pooled builder: the facet free list and point arena stay warm
+			// across the thousands of partition calls of one exploration.
+			if ws.hb == nil {
+				ws.hb = hull.NewBuilder(len(e.w))
+			} else {
+				ws.hb.Reset(len(e.w))
+			}
+			for _, id := range ids {
+				ws.hb.Add(id, e.layers.Point(id))
+			}
+			upd = &hull.AdjSnapshot{}
+			ws.hb.UpperAdjInto(upd)
+			ws.built[string(key)] = upd
+		}
+		memberIDs = upd.MemberIDs
+		adjOf = upd.Adj
 	}
 	children := ws.kids[:0]
 	for _, id := range memberIDs {
 		child := ws.node()
 		e.buildNodeRegion(child, n.reg, id, adjOf(id))
+		// Resolving here, on the slot's own workspace, keeps the children's
+		// QPs inside the parallel batch; empty children are dropped.
+		child.mindist = n.mindist
+		if !e.resolve(child, ws) {
+			continue
+		}
 		child.deepest = n.deepest
 		if li, ok := e.layers.LayerOf(id); ok && li > child.deepest {
 			child.deepest = li
@@ -604,9 +608,18 @@ func beatAllScratch(ls *hull.Layers, id int, others []int, hs []region.Halfspace
 	return hs, back
 }
 
-// witnessInside reports whether the point clearly (beyond the QP solver's
-// feasibility tolerance) satisfies every halfspace — a sufficient certificate
-// that a region containing the point still intersects the halfspaces.
+// witnessMargin is the slack by which witnessInside requires the witness to
+// satisfy every halfspace. It must stay well above the QP's feasibility
+// tolerance (1e-10 in package qp): a row the witness meets only within the
+// solver's tolerance may be one the QP declares infeasible together with the
+// region's other rows, so the screen would certify a child the probe drops.
+// Borderline cases go to the QP, which settles them exactly as it would
+// without the screen.
+const witnessMargin = 1e-8
+
+// witnessInside reports whether the point clearly (by witnessMargin)
+// satisfies every halfspace — a sufficient certificate that a region
+// containing the point still intersects the halfspaces.
 //
 //ordlint:noalloc
 func witnessInside(w geom.Vector, hs []region.Halfspace) bool {
@@ -615,7 +628,7 @@ func witnessInside(w geom.Vector, hs []region.Halfspace) bool {
 		for j, a := range h.A {
 			s += a * w[j]
 		}
-		if s <= 1e-8 {
+		if s <= witnessMargin {
 			return false
 		}
 	}

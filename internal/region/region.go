@@ -59,13 +59,22 @@ func (r Region) With(hs ...Halfspace) Region {
 	return out
 }
 
-// Contains reports whether v satisfies every constraint (with tolerance).
+// containsSlack is how far Contains lets a point violate a halfspace. A
+// region's witness is a QP solution on the region's boundary: it meets the
+// active rows only to the solver's feasibility tolerance (1e-10 in package
+// qp) plus the rounding of a d-term dot product, so the slack must sit above
+// that for a region to contain its own witness; 1e-9 leaves an order of
+// magnitude of headroom.
+const containsSlack = 1e-9
+
+// Contains reports whether v satisfies every constraint, up to
+// containsSlack.
 func (r Region) Contains(v geom.Vector) bool {
 	if !geom.OnSimplex(v) {
 		return false
 	}
 	for _, h := range r.Hs {
-		if h.A.Dot(v) < h.B-1e-9 {
+		if h.A.Dot(v) < h.B-containsSlack {
 			return false
 		}
 	}
