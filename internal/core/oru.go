@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -34,10 +35,19 @@ var ErrBudgetExceeded = errors.New("core: region budget exceeded")
 // child copies all rows into its own backing, and finalize detaches the
 // buffers before the node is pooled — so recycling a node safely reuses
 // both, and the QP assembly sweeps one contiguous run per region.
+//
+// Below hull.PairwiseDim a node that can still be partitioned also keeps
+// the vertex list of its region in vl, pooled with the node: a root clips
+// the simplex by its rows, a child clips its parent's list by its own new
+// rows. verts is false when the node has no list (d >= PairwiseDim, a
+// top list k deep, or a list given up by Clip); the node and its subtree
+// then partition without one.
 type regionNode struct {
 	reg     region.Region
 	hsBuf   []region.Halfspace // pooled header array backing reg.Hs
 	hsBack  []float64          // pooled contiguous normals of reg.Hs rows
+	vl      region.Vertices
+	verts   bool
 	top     []int
 	deepest int // deepest layer index among the top records
 	mindist float64
@@ -88,6 +98,10 @@ type exploreWS struct {
 	// built holds the L_upd hulls this slot built during the current batch,
 	// for the main goroutine to add to the memo once the batch is done.
 	built map[string]*hull.AdjSnapshot
+	// byScore and diff are prune's scratch: the union in descending score
+	// at the region's witness, and one member's point minus another's.
+	byScore []scoredID
+	diff    geom.Vector
 }
 
 // node returns a recycled regionNode (fields reset, buffers retained) or a
@@ -112,6 +126,7 @@ func (ws *exploreWS) recycle(n *regionNode) {
 		n.hsBuf = n.reg.Hs[:0]
 	}
 	n.reg = region.Region{}
+	n.verts = false
 	n.top = n.top[:0]
 	n.final = false
 	ws.free = append(ws.free, n)
@@ -205,6 +220,7 @@ func (e *explorer) pushL1(id int) {
 	e.buildNodeRegion(n, region.Full(len(e.w)), id, l0.Adj[id])
 	n.top = append(n.top, id)
 	n.deepest = 0
+	e.clipVerts(n, nil)
 	e.push(n)
 }
 
@@ -246,6 +262,35 @@ func (e *explorer) buildNodeRegion(child *regionNode, parent region.Region, id i
 	child.reg = region.Region{Dim: d, Hs: hs}
 	child.hsBuf = hs
 	child.hsBack = back
+}
+
+// clipVerts gives n the vertex list of its region when it may be
+// partitioned below hull.PairwiseDim: parent's list (the simplex for a
+// root, parent nil) clipped by the rows n.reg adds to parent's region. n
+// gets no list when parent has none or Clip gives it up.
+//
+//ordlint:noalloc
+func (e *explorer) clipVerts(n, parent *regionNode) {
+	n.verts = false
+	d := len(e.w)
+	if d >= hull.PairwiseDim || len(n.top) >= e.k {
+		return
+	}
+	from := 0
+	if parent == nil {
+		n.vl.Reset(d)
+	} else if parent.verts {
+		n.vl.CopyFrom(&parent.vl)
+		from = len(parent.reg.Hs)
+	} else {
+		return
+	}
+	for i := from; i < len(n.reg.Hs); i++ {
+		if !n.vl.Clip(n.reg.Hs[i], d+i) {
+			return
+		}
+	}
+	n.verts = true
 }
 
 // resolve computes the node's exact mindist and witness (within the clip,
@@ -411,98 +456,23 @@ func (e *explorer) pop() *regionNode {
 }
 
 // partition applies Theorem 1 to a popped region: the next-ranked record
-// anywhere in it comes from Set (i) (records adjacent to a top member in
-// its own layer) or Set (ii) (next-layer records whose top-region overlaps
-// the region). It returns one resolved child per next record whose region
-// is not empty. When no next record exists it marks n final instead. All
-// scratch state comes from ws (one per goroutine); the layers structure and
-// the memo are only read.
+// anywhere in it comes from the candidate union (see union). It returns one
+// resolved child per next record whose region is not empty. When no next
+// record exists it marks n final instead. All scratch state comes from ws
+// (one per goroutine); the layers structure and the memo are only read.
 func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
-	if ws.inTop == nil {
-		ws.inTop = make(map[int]bool)
-		ws.cand = make(map[int]bool)
-		ws.visited = make(map[int]bool)
-		ws.built = make(map[string]*hull.AdjSnapshot)
-	}
-	inTop := ws.inTop
-	clear(inTop)
-	for _, id := range n.top {
-		inTop[id] = true
-	}
-	cand := ws.cand
-	clear(cand)
-	// Set (i): adjacent records of each top member within its layer.
-	for _, id := range n.top {
-		li, ok := e.layers.LayerOf(id)
-		if !ok {
-			continue
-		}
-		u := e.layers.Layer(li)
-		for _, a := range u.Adj[id] {
-			if !inTop[a] {
-				cand[a] = true
-			}
-		}
-	}
-	// Set (ii): next-layer records whose top-region overlaps n.reg. The
-	// top-regions of a layer tile the preference domain, so the members
-	// overlapping a convex region form a connected patch of the adjacency
-	// graph: start from the member that tops the region's witness point
-	// and flood outward, running the (QP) overlap test only along the
-	// frontier instead of for every member of the layer.
-	if lnext := e.layers.Layer(n.deepest + 1); lnext != nil && len(lnext.MemberIDs) > 0 {
-		start, bestScore := -1, math.Inf(-1)
-		for _, id := range lnext.MemberIDs {
-			if s := e.layers.Point(id).Dot(n.witness); s > bestScore {
-				start, bestScore = id, s
-			}
-		}
-		visited := ws.visited
-		clear(visited)
-		visited[start] = true
-		queue := append(ws.queue[:0], start)
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
-			ws.hs, ws.floodBack = beatAllScratch(e.layers, id, lnext.Adj[id], ws.hs[:0], ws.floodBack)
-			// Witness screen: n.witness is a point of n.reg (its mindist
-			// projection); when it clearly satisfies every new halfspace the
-			// intersection is certainly non-empty and the QP probe is skipped.
-			// The margin keeps the screen strictly conservative w.r.t. the
-			// solver's own tolerance, so marginal cases still go to the QP.
-			// The flood's start member always passes: it maximises the dot
-			// product at the witness, which is exactly its beat system.
-			// When the screen is inconclusive, the emptiness probe projects
-			// the witness rather than the barycentre: the witness already
-			// satisfies every row of n.reg, so the solver's active set only
-			// has to chase the new beat rows.
-			if !witnessInside(n.witness, ws.hs) && n.reg.ProbeEmptyAt(n.witness, ws.hs, &ws.reg) {
-				continue
-			}
-			cand[id] = true
-			for _, a := range lnext.Adj[id] {
-				if !visited[a] {
-					visited[a] = true
-					queue = append(queue, a)
-				}
-			}
-		}
-		ws.queue = queue[:0]
-	}
-	if len(cand) == 0 {
+	ids := e.union(n, ws)
+	if len(ids) == 0 {
 		// The top list cannot grow further (only possible when the
 		// candidate set is smaller than k).
 		n.final = true
 		return nil
 	}
+	if n.verts {
+		ids = e.prune(n, ws, ids)
+	}
 	// L_upd: the upper hull of the candidate union; its top-regions
 	// partition n.reg by the identity of the next-ranked record (Lemma 2).
-	ids := ws.ids[:0]
-	for id := range cand {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	ws.ids = ids
 	var memberIDs []int
 	adjOf := func(id int) []int { return nil }
 	// From hull.PairwiseDim up the facet count of an upper hull grows so
@@ -573,10 +543,168 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 			child.deepest = li
 		}
 		child.top = append(append(child.top, n.top...), id)
+		e.clipVerts(child, n)
 		children = append(children, child)
 	}
 	ws.kids = children
 	return children
+}
+
+// union returns, sorted, the candidate union of Theorem 1 for a popped
+// region: Set (i), the records adjacent to a top member in its own layer,
+// and Set (ii), the next-layer records whose top-region overlaps the
+// region. The slice is ws.ids.
+func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
+	if ws.inTop == nil {
+		ws.inTop = make(map[int]bool)
+		ws.cand = make(map[int]bool)
+		ws.visited = make(map[int]bool)
+		ws.built = make(map[string]*hull.AdjSnapshot)
+	}
+	inTop := ws.inTop
+	clear(inTop)
+	for _, id := range n.top {
+		inTop[id] = true
+	}
+	cand := ws.cand
+	clear(cand)
+	// Set (i): adjacent records of each top member within its layer.
+	for _, id := range n.top {
+		li, ok := e.layers.LayerOf(id)
+		if !ok {
+			continue
+		}
+		u := e.layers.Layer(li)
+		for _, a := range u.Adj[id] {
+			if !inTop[a] {
+				cand[a] = true
+			}
+		}
+	}
+	// Set (ii): next-layer records whose top-region overlaps n.reg. The
+	// top-regions of a layer tile the preference domain, so the members
+	// overlapping a convex region form a connected patch of the adjacency
+	// graph: start from the member that tops the region's witness point
+	// and flood outward, running the overlap test only along the frontier
+	// instead of for every member of the layer.
+	if lnext := e.layers.Layer(n.deepest + 1); lnext != nil && len(lnext.MemberIDs) > 0 {
+		start, bestScore := -1, math.Inf(-1)
+		for _, id := range lnext.MemberIDs {
+			if s := e.layers.Point(id).Dot(n.witness); s > bestScore {
+				start, bestScore = id, s
+			}
+		}
+		visited := ws.visited
+		clear(visited)
+		visited[start] = true
+		queue := append(ws.queue[:0], start)
+		for len(queue) > 0 {
+			id := queue[0]
+			queue = queue[1:]
+			ws.hs, ws.floodBack = beatAllScratch(e.layers, id, lnext.Adj[id], ws.hs[:0], ws.floodBack)
+			if e.floodMisses(n, ws) {
+				continue
+			}
+			cand[id] = true
+			for _, a := range lnext.Adj[id] {
+				if !visited[a] {
+					visited[a] = true
+					queue = append(queue, a)
+				}
+			}
+		}
+		ws.queue = queue[:0]
+	}
+	ids := ws.ids[:0]
+	for id := range cand {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	ws.ids = ids
+	return ids
+}
+
+// floodMisses reports whether n.reg misses the top-region of a flood
+// member, given by its beat rows ws.hs. Three tests run in order of cost,
+// each settling only what it proves:
+//   - Witness screen: n.witness is a point of n.reg (its mindist
+//     projection); when it clears every beat row by witnessMargin, the
+//     two overlap. The flood's start member always passes: it maximises
+//     the dot product at the witness, which is exactly its beat system.
+//   - Vertex screen (when n has a vertex list): a beat row violated by
+//     more than witnessMargin at every listed point misses n.reg; a listed
+//     point that clears every beat row by witnessMargin meets it.
+//   - The QP probe, projecting the witness rather than the barycentre:
+//     the witness already satisfies every row of n.reg, so the solver's
+//     active set only has to chase the new beat rows.
+//
+// The margin keeps both screens strictly conservative w.r.t. the solver's
+// own tolerance, so marginal cases still go to the QP, which settles them
+// exactly as it would without the screens.
+func (e *explorer) floodMisses(n *regionNode, ws *exploreWS) bool {
+	if witnessInside(n.witness, ws.hs) {
+		return false
+	}
+	if n.verts {
+		if miss, meet := n.vl.Screen(ws.hs, witnessMargin); miss || meet {
+			return miss
+		}
+	}
+	return n.reg.ProbeEmptyAt(n.witness, ws.hs, &ws.reg)
+}
+
+// scoredID is a union member with its score at a region's witness.
+type scoredID struct {
+	score float64
+	id    int
+}
+
+// prune drops from the sorted union ids every member s that a kept member
+// r beats everywhere in n.reg: the minimum of (p_r - p_s).v over n's vertex
+// list exceeds witnessMargin. It returns the kept members, sorted, in ids'
+// backing array.
+//
+// Dropping s changes no child. s's own child is empty. Inside n.reg the
+// row "id beats s" follows from "id beats r", so every other child keeps
+// the same polytope; only its QP rows change. Dominance over the region is
+// transitive, and a member outscores every member it beats at the witness,
+// a point of the region. So, visiting the members in descending score
+// there, testing each against the kept members alone still drops every
+// member that some union member beats.
+func (e *explorer) prune(n *regionNode, ws *exploreWS, ids []int) []int {
+	byScore := ws.byScore[:0]
+	for _, id := range ids {
+		byScore = append(byScore, scoredID{e.layers.Point(id).Dot(n.witness), id})
+	}
+	slices.SortFunc(byScore, func(a, b scoredID) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	ws.byScore = byScore
+	diff := ws.diff[:0]
+	kept := ids[:0]
+	for _, s := range byScore {
+		ps := e.layers.Point(s.id)
+		beaten := false
+		for _, r := range kept {
+			diff = append(diff[:0], e.layers.Point(r)...)
+			for j := range diff {
+				diff[j] -= ps[j]
+			}
+			if n.vl.Min(diff) > witnessMargin {
+				beaten = true
+				break
+			}
+		}
+		if !beaten {
+			kept = append(kept, s.id)
+		}
+	}
+	ws.diff = diff
+	sort.Ints(kept)
+	return kept
 }
 
 // beatAllScratch is beatAll with the normal vectors carved from a reusable
@@ -615,6 +743,13 @@ func beatAllScratch(ls *hull.Layers, id int, others []int, hs []region.Halfspace
 // region's other rows, so the screen would certify a child the probe drops.
 // Borderline cases go to the QP, which settles them exactly as it would
 // without the screen.
+//
+// The vertex-list tests (prune's in-region dominance and floodMisses's
+// vertex screen) decide by the same margin, for the same reason. The list
+// itself is exact up to region's clipping tolerance, 1e-12: clipping
+// treats a point within 1e-12 of a row's plane as on it, three orders above
+// the rounding of the slacks it compares, and four below this margin, so
+// no decision taken from a list turns on the list's own inexactness.
 const witnessMargin = 1e-8
 
 // witnessInside reports whether the point clearly (by witnessMargin)

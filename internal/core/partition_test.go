@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -93,6 +94,94 @@ func TestWitnessInsideMargin(t *testing.T) {
 		w := geom.Vector{c.slack, 1 - c.slack, 0}
 		if got := witnessInside(w, hs); got != c.want {
 			t.Errorf("slack %g: witnessInside = %v, want %v", c.slack, got, c.want)
+		}
+	}
+}
+
+// TestPartitionPruneSound: over every partition of a width-1 exploration
+// that has a vertex list, each union member the in-region dominance prune
+// drops gets an empty child when resolved against the full union, and each
+// verdict the vertex flood screen reaches for a next-layer member matches
+// the QP probe.
+func TestPartitionPruneSound(t *testing.T) {
+	const n, k, m = 2000, 4, 16
+	for _, g := range []struct {
+		name string
+		gen  func(*rand.Rand, int, int) []geom.Vector
+	}{{"IND", randPoints}, {"ANTI", antiPoints}, {"DUP", dupPoints}} {
+		for _, d := range []int{3, 4} {
+			name := fmt.Sprintf("%s/d=%d", g.name, d)
+			rng := rand.New(rand.NewSource(int64(60 + d)))
+			tr := rtree.BulkLoad(g.gen(rng, n, d))
+			w := geom.RandSimplex(rng, d)
+			cands, err := skyband.KSkybandForCtx(context.Background(), tr, w, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex := newExplorer(cands, w, k, nil)
+			ex.width = 1
+			if !ex.seed() {
+				t.Fatalf("%s: nothing to explore", name)
+			}
+			var parts, withList, union, dropped, settled int
+			var hs []region.Halfspace
+			var back []float64
+			ws := &ex.ws
+			for ex.h.Len() > 0 && len(ex.records) < m {
+				nd := ex.pop()
+				if !ex.joins(nd, nil) {
+					ex.finalize(nd)
+					continue
+				}
+				parts++
+				if nd.verts {
+					withList++
+					all := slices.Clone(ex.union(nd, ws))
+					kept := ex.prune(nd, ws, slices.Clone(all))
+					union += len(all)
+					for _, s := range all {
+						if slices.Contains(kept, s) {
+							continue
+						}
+						dropped++
+						var rows []region.Halfspace
+						for _, o := range all {
+							if o != s {
+								rows = append(rows, region.Beat(ex.layers.Point(s), ex.layers.Point(o)))
+							}
+						}
+						if !nd.reg.ProbeEmptyAt(nd.witness, rows, &ws.reg) {
+							t.Fatalf("%s: top %v: pruned member %d has a non-empty child against the union %v", name, nd.top, s, all)
+						}
+					}
+					if lnext := ex.layers.Layer(nd.deepest + 1); lnext != nil {
+						for _, id := range lnext.MemberIDs {
+							hs, back = beatAllScratch(ex.layers, id, lnext.Adj[id], hs[:0], back)
+							miss, meet := nd.vl.Screen(hs, witnessMargin)
+							if !miss && !meet {
+								continue
+							}
+							settled++
+							if empty := nd.reg.ProbeEmptyAt(nd.witness, hs, &ws.reg); empty != miss {
+								t.Fatalf("%s: top %v: next-layer member %d: screen says miss=%v, the QP probe empty=%v", name, nd.top, id, miss, empty)
+							}
+						}
+					}
+				}
+				kids := ex.partition(nd, ws)
+				if nd.final {
+					ex.h.Push(nd)
+					continue
+				}
+				ws.recycle(nd)
+				for _, c := range kids {
+					ex.h.Push(c)
+				}
+			}
+			t.Logf("%s: %d of %d partitions with a vertex list, union %d, dropped %d, %d screen verdicts", name, withList, parts, union, dropped, settled)
+			if withList == 0 || dropped == 0 || settled == 0 {
+				t.Errorf("%s: the vertex path went unexercised", name)
+			}
 		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // TestMinDistWSNoAllocs pins the workspace-reuse contract: once a Workspace
-// has served a region shape, further MinDistWS/EmptyWS calls perform zero
-// heap allocations.
+// has served a region shape, further MinDistWS calls perform zero heap
+// allocations.
 func TestMinDistWSNoAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -41,14 +41,15 @@ func TestProbeEmptyNoAllocs(t *testing.T) {
 	}
 	r := Full(3).With(Beat(geom.Vector{0.9, 0.2, 0.1}, geom.Vector{0.3, 0.8, 0.2}))
 	hs := []Halfspace{Beat(geom.Vector{0.9, 0.2, 0.1}, geom.Vector{0.2, 0.3, 0.9})}
+	at := geom.SimplexBarycentre(3)
 	var ws Workspace
-	r.ProbeEmpty(hs, &ws) // warm-up
+	r.ProbeEmptyAt(at, hs, &ws) // warm-up
 	avg := testing.AllocsPerRun(100, func() {
-		if r.ProbeEmpty(hs, &ws) {
+		if r.ProbeEmptyAt(at, hs, &ws) {
 			t.Fatal("probe unexpectedly empty")
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("warmed ProbeEmpty allocates %.1f times per call, want 0", avg)
+		t.Fatalf("warmed ProbeEmptyAt allocates %.1f times per call, want 0", avg)
 	}
 }

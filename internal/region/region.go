@@ -1,20 +1,22 @@
 // Package region represents convex polytopes in the preference domain: the
 // top-regions C(r) of Lemma 2, their refinements under Theorem 1, and the
 // fixed preference polytopes R of the baseline techniques [20, 54]. A
-// region is the intersection of the unit simplex with a set of halfspaces;
-// emptiness tests and mindist computations reduce to projection QPs.
+// region is the unit simplex intersected with a list of halfspace rows
+// A.v >= B; a refinement appends rows.
 //
-// Regions built through With carry their QP constraint matrix with them,
-// extended incrementally as halfspaces are appended, so mindist and
-// emptiness tests assemble the QP from cached rows instead of rebuilding
-// the matrices per call. Combined with a caller-supplied Workspace
-// (MinDistWS and friends) the whole mindist path is allocation-free after
-// warm-up. A Workspace is NOT goroutine-safe; use one per worker.
+// Emptiness, mindist and probe questions are projection QPs. Each call
+// assembles its QP in a caller-supplied Workspace: the cached simplex rows,
+// then the region's rows, then any probe rows. A warmed Workspace makes the
+// whole path allocation-free. A Workspace is NOT goroutine-safe; use one
+// per worker.
+//
+// Below d = 5 a region can also carry a vertex list (Vertices), updated by
+// clipping as rows are appended. It answers the minimum of a linear
+// function over the region with a few dot products, which settles
+// dominance over the region and most overlap tests without a QP.
 package region
 
 import (
-	"math"
-
 	"ordu/internal/geom"
 	"ordu/internal/qp"
 )
@@ -82,9 +84,9 @@ func (r Region) Contains(v geom.Vector) bool {
 }
 
 // Workspace carries the QP solver state and the assembled constraint
-// system of region queries, so repeated MinDistWS/EmptyWS calls perform no
-// heap allocations after warm-up. The zero value is ready for use. Not
-// goroutine-safe: one Workspace per worker.
+// system of region queries, so repeated MinDistWS/ProbeEmptyAt calls
+// perform no heap allocations after warm-up. The zero value is ready for
+// use. Not goroutine-safe: one Workspace per worker.
 type Workspace struct {
 	qp qp.Workspace
 	pr qp.Problem
@@ -134,32 +136,15 @@ func (r Region) MinDistWS(w geom.Vector, ws *Workspace) (dist float64, closest g
 
 // Empty reports whether the region has no feasible point.
 func (r Region) Empty() bool {
-	var ws Workspace
-	return r.EmptyWS(&ws)
-}
-
-// EmptyWS is Empty with a caller-supplied workspace.
-//
-//ordlint:noalloc
-func (r Region) EmptyWS(ws *Workspace) bool {
-	_, _, ok := r.MinDistWS(geom.SimplexBarycentre(r.Dim), ws)
+	_, ok := r.FeasiblePoint()
 	return !ok
 }
 
-// ProbeEmpty reports whether r intersected with the extra halfspaces is
+// ProbeEmptyAt reports whether r intersected with the extra halfspaces is
 // empty, without materialising the combined region: the extra rows are
-// appended to the workspace's assembled constraint system directly. It is
-// the allocation-free form of r.With(hs...).Empty() for probe-and-discard
-// overlap tests.
-//
-//ordlint:noalloc
-func (r Region) ProbeEmpty(hs []Halfspace, ws *Workspace) bool {
-	return r.ProbeEmptyAt(geom.SimplexBarycentre(r.Dim), hs, ws)
-}
-
-// ProbeEmptyAt is ProbeEmpty with a caller-chosen projection point. The
-// emptiness answer does not depend on the point, but a point already deep
-// inside r (e.g. a cached witness of a prior mindist solve) starts the
+// appended to the workspace's assembled constraint system directly. The
+// answer does not depend on the projection point at, but a point already
+// deep inside r (e.g. a cached witness of a prior mindist solve) starts the
 // solver with most constraints satisfied, cutting its active-set
 // iterations on the dominant non-empty outcome.
 //
@@ -234,13 +219,3 @@ func Box(c geom.Vector, side float64) Region {
 	}
 	return r.With(hs...)
 }
-
-// MaxDist returns an upper bound on the distance from w to any point of
-// the region (the distance to the farthest simplex vertex, clipped by
-// nothing tighter; used only for reporting).
-func (r Region) MaxDist(w geom.Vector) float64 {
-	return geom.MaxSimplexDist(w)
-}
-
-// Infeasible is a sentinel distance for empty regions.
-var Infeasible = math.Inf(1)

@@ -169,11 +169,3 @@ func TestBox(t *testing.T) {
 		t.Errorf("oversized box kept %d constraints", len(big.Hs))
 	}
 }
-
-func TestMaxDist(t *testing.T) {
-	r := Full(2)
-	w := geom.Vector{0.5, 0.5}
-	if got := r.MaxDist(w); math.Abs(got-math.Sqrt(0.5)) > 1e-12 {
-		t.Errorf("MaxDist = %g", got)
-	}
-}
