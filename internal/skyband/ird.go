@@ -16,30 +16,36 @@ import (
 // radius (the record's inflection radius).
 //
 // Internally it drives the score-ordered BBS scanner to fetch k-skyband
-// members progressively into set T, where their exact inflection radii are
-// known on arrival (only higher-scoring records can rho-dominate them, and
-// those are all fetched earlier). Records are released once their
-// inflection radius is no larger than a lower bound rho_ on the inflection
-// radius of anything not yet fetched. The bound is the minimum, over the
-// BBS heap contents (set S), of each entry's inflection radius with respect
-// to the fetched set T; since radii only grow as T grows, bounds computed
-// against an older T remain valid, and the implementation refreshes only
-// the entry that currently blocks the minimum (lazy revalidation).
+// members progressively into set T. Only higher-scoring records can
+// rho-dominate a record, and those are all fetched before it, so its
+// inflection radius against T is exact on arrival. Records are released
+// once their inflection radius is no larger than a lower bound rho_ on the
+// inflection radius of anything not yet fetched: the minimum, over the BBS
+// heap contents (set S), of each entry's inflection radius against T.
+//
+// Each entry's radius is kept exact against a prefix T[:tVersion] of the
+// fetched records, which is a valid lower bound because T only grows. An
+// entry extends its prefix only when it blocks a release, and only over the
+// records it has not seen, so every (entry, fetched record) pair costs at
+// most one mindist. A fetched record's radius is finished from its own
+// heap entry the same way.
 type IRD struct {
 	w  geom.Vector
 	k  int
 	sc *Scanner
 	pr *SkybandPruner
 
-	t       []Member                 // fetched k-skyband records, in decreasing score order
-	tRadii  []float64                // inflection radius of each t entry
-	pending xheap.Heap[pendItem]     // fetched but not yet released, keyed by inflection radius
+	t       []Member             // fetched k-skyband records, in decreasing score order
+	pending xheap.Heap[pendItem] // fetched but not yet released, keyed by inflection radius
 	bounds  xheap.Heap[*boundEntry]
-	live    map[uint64]*boundEntry
+	live    map[uint64]*boundEntry // scanner seq -> entry still in the BBS heap
+	popped  *boundEntry            // entry of the scanner's last pop
+	slab    []float64              // backs the entries' k-slot top lists
 
-	// ws backs every mindist computation and the per-candidate mindist
-	// buffer; IRD is single-goroutine, so owning one workspace is safe and
-	// keeps the fetch loop allocation-free after warm-up.
+	// ws backs every mindist computation; IRD is single-goroutine, so
+	// owning one workspace is safe. The mindists allocate nothing once
+	// warm, but every scanner push allocates one bound entry (its k slots
+	// come from slab).
 	ws Workspace
 
 	exhausted bool
@@ -61,12 +67,17 @@ type pendItem struct {
 // Less orders the pending min-heap by inflection radius.
 func (p pendItem) Less(o pendItem) bool { return p.rho < o.rho }
 
+// boundEntry shadows one BBS heap entry: a record, or a node whose top
+// corner stands for every record below it.
 type boundEntry struct {
-	seq      uint64
 	pt       geom.Vector
-	bound    float64
-	tVersion int // size of T when bound was computed
-	dead     bool
+	top      []float64 // the k largest mindists to T[:tVersion], ascending
+	tVersion int
+	// bound is the heap key: the entry's radius when it was last advanced
+	// in the heap. The popped record's entry is finished while it still
+	// sits in the heap as dead, so its key must not follow top.
+	bound float64
+	dead  bool
 }
 
 // Less orders the bound min-heap by the stored lower bound.
@@ -82,54 +93,68 @@ func NewIRD(tree *rtree.Tree, w geom.Vector, k int) *IRD {
 	}
 	ird.sc = NewScanner(tree, w)
 	ird.sc.onPush = func(e *scanEntry) {
-		be := &boundEntry{seq: e.seq, pt: e.pt}
+		if len(ird.slab) < k {
+			ird.slab = make([]float64, 256*k)
+		}
+		be := &boundEntry{pt: e.pt, top: ird.slab[:0:k]}
+		ird.slab = ird.slab[k:]
 		ird.live[e.seq] = be
 		ird.bounds.Push(be)
 	}
 	ird.sc.onPop = func(e *scanEntry) {
-		if be, ok := ird.live[e.seq]; ok {
-			be.dead = true
+		// The root is pushed before the hooks are set and has no entry; it
+		// is a node, so fetch never reads it as popped.
+		ird.popped = ird.live[e.seq]
+		if ird.popped != nil {
+			ird.popped.dead = true
 			delete(ird.live, e.seq)
 		}
 	}
 	return ird
 }
 
-// inflectionOf computes the inflection radius of p against the current T.
-func (ird *IRD) inflectionOf(p geom.Vector) float64 {
-	if len(ird.t) < ird.k {
+// radius is e's inflection radius against T[:e.tVersion]: the k-th largest
+// mindist, or 0 while fewer than k records were seen. A record that
+// dominates e's point has mindist +Inf.
+func (ird *IRD) radius(e *boundEntry) float64 {
+	if len(e.top) < ird.k {
 		return 0
 	}
-	mindists := ird.ws.mds[:0]
-	for _, t := range ird.t {
-		mindists = append(mindists, MindistWS(ird.w, p, t.Point, &ird.ws))
-	}
-	ird.ws.mds = mindists
-	return InflectionRadiusInPlace(mindists, ird.k)
+	return e.top[0]
 }
 
-// boundAtLeast reports whether the inflection radius of p against the
-// current T is at least x, with early exit once k covering intervals are
-// found (each interval [0, mindist] with mindist >= x counts).
-func (ird *IRD) boundAtLeast(p geom.Vector, x float64) bool {
-	count := 0
-	for _, t := range ird.t {
-		if t.Point.Dominates(p) || MindistWS(ird.w, p, t.Point, &ird.ws) >= x {
-			count++
-			if count >= ird.k {
-				return true
-			}
+// advance extends e over T[e.tVersion:], one mindist per record, until its
+// radius is at least x or it has seen all of T, and returns the radius.
+func (ird *IRD) advance(e *boundEntry, x float64) float64 {
+	r := ird.radius(e)
+	for ; r < x && e.tVersion < len(ird.t); e.tVersion++ {
+		e.top = keepLargest(e.top, ird.k, MindistWS(ird.w, e.pt, ird.t[e.tVersion].Point, &ird.ws))
+		r = ird.radius(e)
+	}
+	return r
+}
+
+// keepLargest adds v to top, the at most k largest values so far in
+// ascending order.
+func keepLargest(top []float64, k int, v float64) []float64 {
+	if len(top) < k {
+		top = append(top, v)
+		for i := len(top) - 1; i > 0 && top[i-1] > top[i]; i-- {
+			top[i-1], top[i] = top[i], top[i-1]
+		}
+	} else if v > top[0] {
+		top[0] = v
+		for i := 1; i < k && top[i] < top[i-1]; i++ {
+			top[i-1], top[i] = top[i], top[i-1]
 		}
 	}
-	return false
+	return top
 }
 
 // boundsClear reports whether every not-yet-fetched record provably has
-// inflection radius at least x. Stored bounds are lower bounds computed
-// against an older T (radii only grow as T grows), so entries are
-// revalidated lazily: only while the minimum stored bound is below x, and
-// each revalidation early-exits at x rather than computing the exact
-// radius.
+// inflection radius at least x. It advances the heap's minimum entry until
+// that entry's radius reaches x; an entry that has seen all of T and is
+// still below x is exact, so the answer is then no and IRD must fetch.
 func (ird *IRD) boundsClear(x float64) bool {
 	for ird.bounds.Len() > 0 {
 		top := *ird.bounds.Peek()
@@ -140,17 +165,11 @@ func (ird *IRD) boundsClear(x float64) bool {
 		if top.bound >= x {
 			return true // heap min >= x, so every entry is
 		}
-		if top.tVersion == len(ird.t) {
-			return false // bound is current and below x
-		}
-		if !ird.boundAtLeast(top.pt, x) {
-			// Genuinely below x at the current T; leave the stored (still
-			// valid) bound in place — the next fetch changes T anyway.
+		top.bound = ird.advance(top, x)
+		ird.bounds.Fix(0)
+		if top.bound < x {
 			return false
 		}
-		top.bound = x // truthful lower bound, confirmed against current T
-		top.tVersion = len(ird.t)
-		ird.bounds.Fix(0)
 	}
 	return true // S is empty: nothing unfetched remains
 }
@@ -163,11 +182,12 @@ func (ird *IRD) fetch() bool {
 		ird.exhausted = true
 		return false
 	}
-	rho := ird.inflectionOf(p)
+	// The scanner popped p's own entry last; its key stays put, see
+	// boundEntry.bound.
+	rho := ird.advance(ird.popped, math.Inf(1))
 	ird.pr.Add(p)
 	m := Member{ID: id, Point: p}
 	ird.t = append(ird.t, m)
-	ird.tRadii = append(ird.tRadii, rho)
 	if !math.IsInf(rho, 1) {
 		ird.pending.Push(pendItem{rec: m, rho: rho})
 	}
@@ -182,12 +202,12 @@ func (ird *IRD) Next() (Released, bool) {
 }
 
 // NextCtx is Next with cooperative cancellation. A single release can
-// internally fetch thousands of k-skyband records (each an O(|T|)
-// inflection computation), so the fetch loop itself polls ctx every few
-// iterations and aborts with an error wrapping ctx.Err(). The returned
-// record's Point aliases the dataset's storage (it is not a copy); it
-// stays valid for the lifetime of the underlying tree and must be copied
-// if retained beyond it.
+// internally fetch thousands of k-skyband records, each paying one mindist
+// per earlier record its heap entry has not yet seen, so the fetch loop
+// itself polls ctx every few iterations and aborts with an error wrapping
+// ctx.Err(). The returned record's Point aliases the dataset's storage (it
+// is not a copy); it stays valid for the lifetime of the underlying tree
+// and must be copied if retained beyond it.
 func (ird *IRD) NextCtx(ctx context.Context) (Released, bool, error) {
 	for i := 0; ; i++ {
 		if i%64 == 0 {

@@ -13,18 +13,16 @@ import (
 	"ordu/internal/qp"
 )
 
-// Workspace holds the QP solver state and scratch of the dominance-side
-// kernels (Mindist's exact-projection fallback, inflection-radius sorting),
-// so the pruners and IRD can run millions of rho-dominance tests without
-// heap allocations after warm-up. The zero value is ready for use. Not
-// goroutine-safe: one Workspace per worker.
+// Workspace holds the QP solver state and scratch of Mindist's
+// exact-projection fallback, so the pruners and IRD can run millions of
+// rho-dominance tests without heap allocations after warm-up. The zero
+// value is ready for use. Not goroutine-safe: one Workspace per worker.
 type Workspace struct {
-	qp  qp.Workspace
-	a   []float64
-	pr  qp.Problem
-	mds []float64 // inflection-radius scratch, used by IRD and core's ORD
-	v   []float64 // active-set projection: candidate point
-	fr  []bool    // active-set projection: free-coordinate mask
+	qp qp.Workspace
+	a  []float64
+	pr qp.Problem
+	v  []float64 // active-set projection: candidate point
+	fr []bool    // active-set projection: free-coordinate mask
 }
 
 // Mindist returns rho_{i,j}: the largest radius at which rj still
@@ -249,9 +247,8 @@ func InflectionRadius(mindists []float64, k int) float64 {
 }
 
 // InflectionRadiusInPlace is InflectionRadius over a caller-owned buffer:
-// it sorts mindists in place (no copy, no allocation), which is what the
-// hot loops of ORD and IRD want — they rebuild the buffer per candidate
-// anyway.
+// it sorts mindists in place (no copy, no allocation), which is what ORD's
+// hot loops want — they rebuild the buffer per candidate anyway.
 //
 //ordlint:noalloc
 func InflectionRadiusInPlace(mindists []float64, k int) float64 {
