@@ -489,39 +489,15 @@ func BenchmarkQPSolve(b *testing.B) {
 
 // --- Live-dataset mutation path ---
 
-// Mutation-bench parameters: the rho matches the RSB-5 configuration used
-// elsewhere in the suite, and sizes bracket the acceptance setting
-// (single-point repair vs wholesale rebuild at n=100k).
-const benchMutRho = 0.05
-
-var benchMutSizes = []int{10_000, 100_000}
-
-// mutationFixture builds a mutable collection of n IND points and, when
-// withLive is set, a warmed Live rho-skyband maintainer over its tree.
-func mutationFixture(b *testing.B, n int, withLive bool) (*collection.Collection, *skyband.Live) {
-	b.Helper()
-	pts := data.Synthetic(data.IND, n, benchD, 11)
-	col, err := collection.FromPoints(pts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if !withLive {
-		return col, nil
-	}
-	live, err := skyband.NewLive(col.Tree(), benchSeeds(benchD)[0], benchK, benchMutRho)
-	if err != nil {
-		b.Fatal(err)
-	}
-	live.Rebuild()
-	return col, live
-}
-
 // MutationCollectionChurn measures the raw storage + R-tree cost of one
-// insert/delete pair at steady-state size, without skyband maintenance.
+// insert/delete pair at steady-state size.
 func BenchmarkMutationCollectionChurn(b *testing.B) {
-	for _, n := range benchMutSizes {
+	for _, n := range []int{10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			col, _ := mutationFixture(b, n, false)
+			col, err := collection.FromPoints(data.Synthetic(data.IND, n, benchD, 11))
+			if err != nil {
+				b.Fatal(err)
+			}
 			fresh := data.Synthetic(data.IND, 4096, benchD, 99)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -531,115 +507,6 @@ func BenchmarkMutationCollectionChurn(b *testing.B) {
 					b.Fatal(err)
 				}
 				col.Delete(id)
-			}
-		})
-	}
-}
-
-// MutationInsertRepair measures single-point incremental repair: insert
-// into the collection plus Live.OnInsert. Inserted points are drained in
-// untimed batches so the dataset stays at size n.
-func BenchmarkMutationInsertRepair(b *testing.B) {
-	for _, n := range benchMutSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			col, live := mutationFixture(b, n, true)
-			fresh := data.Synthetic(data.IND, 4096, benchD, 99)
-			var pending []int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := col.NewID()
-				if err := col.Insert(id, fresh[i%len(fresh)]); err != nil {
-					b.Fatal(err)
-				}
-				if err := live.OnInsert(id); err != nil {
-					b.Fatal(err)
-				}
-				pending = append(pending, id)
-				if len(pending) == 1024 {
-					b.StopTimer()
-					for _, d := range pending {
-						col.Delete(d)
-						if err := live.OnDelete(d); err != nil {
-							b.Fatal(err)
-						}
-					}
-					pending = pending[:0]
-					b.StartTimer()
-				}
-			}
-		})
-	}
-}
-
-// MutationDeleteRepair measures single-point delete repair, draining the
-// fixture's own points (the dataset shrinks across iterations; with
-// microsecond-scale ops b.N stays well below n, so the drift is small).
-// Only if a round drains the fixture completely is it rebuilt, untimed.
-func BenchmarkMutationDeleteRepair(b *testing.B) {
-	for _, n := range benchMutSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			col, live := mutationFixture(b, n, true)
-			ids := col.IDs()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(ids) == 0 {
-					b.StopTimer()
-					col, live = mutationFixture(b, n, true)
-					ids = col.IDs()
-					b.StartTimer()
-				}
-				id := ids[len(ids)-1]
-				ids = ids[:len(ids)-1]
-				col.Delete(id)
-				if err := live.OnDelete(id); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// MutationUpdateRepair measures in-place point moves: Collection.Update
-// plus Live.OnUpdate, cycling existing ids so the size never changes.
-func BenchmarkMutationUpdateRepair(b *testing.B) {
-	for _, n := range benchMutSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			col, live := mutationFixture(b, n, true)
-			fresh := data.Synthetic(data.IND, 4096, benchD, 99)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := i % n
-				if err := col.Update(id, fresh[i%len(fresh)]); err != nil {
-					b.Fatal(err)
-				}
-				if err := live.OnUpdate(id); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// MutationWholesaleRebuild measures the alternative the incremental path
-// replaces: constructing and rebuilding a fresh Live maintainer from
-// scratch after every write. The acceptance bar for the live-dataset work
-// is InsertRepair/n=100000 beating this by >=10x.
-func BenchmarkMutationWholesaleRebuild(b *testing.B) {
-	for _, n := range benchMutSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			col, _ := mutationFixture(b, n, false)
-			w := benchSeeds(benchD)[0]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				lv, err := skyband.NewLive(col.Tree(), w, benchK, benchMutRho)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lv.Rebuild()
 			}
 		})
 	}

@@ -78,8 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		suite.Analyzers = kept
 	}
 
-	loader := analysis.NewLoader(modulePath, root)
-	pkgs, err := loader.LoadModule()
+	pkgs, err := loadModule(modulePath, root)
 	if err != nil {
 		fmt.Fprintln(stderr, "ordlint:", err)
 		return 2
@@ -125,6 +124,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// loadModule type-checks every package of the module, and the standard
+// library closure it imports, from source. It is a variable so that tests
+// can share one load across their run() calls.
+var loadModule = func(modulePath, root string) ([]*analysis.Package, error) {
+	return analysis.NewLoader(modulePath, root).LoadModule()
 }
 
 // jsonFinding is the -json output record: newline-delimited JSON, one object

@@ -8,10 +8,26 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"ordu/internal/analysis"
 )
+
+// Every run() in this test binary shares one module load: loading
+// dominates each run, and the loaded packages are only read.
+func init() {
+	load := loadModule
+	var (
+		once sync.Once
+		pkgs []*analysis.Package
+		err  error
+	)
+	loadModule = func(modulePath, root string) ([]*analysis.Package, error) {
+		once.Do(func() { pkgs, err = load(modulePath, root) })
+		return pkgs, err
+	}
+}
 
 // suiteRows returns the default suite's (name, layer) pairs in order — the
 // source of truth the -list table and the README check table must match.

@@ -10,8 +10,8 @@ import (
 // This file computes the borrow and writer facts behind ordlint's
 // lock-discipline checks (borrowck, lockmode). A *borrow* is a value that
 // aliases packed point storage guarded by a dataset lock — vectors from
-// Collection.Get/Scan/at, the spatial index from Tree(), result records
-// built from Live — and is only valid while that lock is held. A *writer*
+// Collection.Get/Scan/at, the spatial index from Tree(), query result
+// records built from them — and is only valid while that lock is held. A *writer*
 // is a method that mutates receiver-reachable state and therefore needs
 // the write side of the guarding RWMutex.
 //
@@ -224,10 +224,9 @@ func writesThrough(info *types.Info, l ast.Expr, recv types.Object) bool {
 
 // callsWriterOnReceiver reports (by callee name) whether the method body
 // calls a writer method on a receiver-rooted chain — c.tree.Insert(...)
-// inside a Collection method, l.OnInsert(...) inside Live.OnUpdate. Writer
-// status deliberately does not propagate through plain argument passing:
-// handing the receiver's tree to a query kernel must not make the query a
-// writer.
+// inside a Collection method. Writer status deliberately does not
+// propagate through plain argument passing: handing the receiver's tree to
+// a query kernel must not make the query a writer.
 func callsWriterOnReceiver(n *FuncNode, g *CallGraph, facts map[*FuncNode]*BorrowInfo) string {
 	recv := recvObject(n)
 	if recv == nil {

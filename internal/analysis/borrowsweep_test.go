@@ -9,8 +9,8 @@ import (
 // TestModuleBorrowSweep pins the borrow/writer classification of the
 // live-dataset layer and the lock-mode classification of the server's
 // handlers over the real module. The tables below are exhaustive by
-// construction: every exported method of Collection and Live must have an
-// entry (adding a method without classifying it fails the test), and every
+// construction: every exported method of Collection must have an entry
+// (adding a method without classifying it fails the test), and every
 // handle* method of Server must have a lock-mode row. This is the
 // machine-checked version of the package concurrency contracts.
 func TestModuleBorrowSweep(t *testing.T) {
@@ -41,18 +41,6 @@ func TestModuleBorrowSweep(t *testing.T) {
 			"Update": {writer: true},
 			"Upsert": {writer: true},
 			"Delete": {writer: true},
-		},
-		modPath + "/internal/skyband.Live": {
-			"K":        {},
-			"Rho":      {},
-			"Recounts": {},
-			"Contains": {},
-			"Seed":     {borrows: true},
-			"Members":  {borrows: true},
-			"OnInsert": {writer: true},
-			"OnDelete": {writer: true},
-			"OnUpdate": {writer: true},
-			"Rebuild":  {writer: true},
 		},
 	}
 

@@ -91,20 +91,6 @@ func TestModuleHandleSweep(t *testing.T) {
 			"Upsert": {mutates: true},
 			"Delete": {mutates: true},
 		},
-		// The live skyband: Seed stays valid across mutations (stable
-		// view), but the incremental writers and Rebuild kill Members.
-		modPath + "/internal/skyband.Live": {
-			"K":        {},
-			"Rho":      {},
-			"Recounts": {},
-			"Contains": {},
-			"Seed":     {},
-			"Members":  {},
-			"OnInsert": {mutates: true},
-			"OnDelete": {mutates: true},
-			"OnUpdate": {mutates: true},
-			"Rebuild":  {mutates: true},
-		},
 	}
 
 	pkgByPath := make(map[string]*Package, len(pkgs))

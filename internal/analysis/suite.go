@@ -120,7 +120,7 @@ type Config struct {
 //     keeps borrows of packed point storage out of the server's result
 //     cache, the one store that outlives requests;
 //   - lockmode audits internal/server, where the per-dataset RWMutex
-//     guards Dataset/Collection/Live calls; Dataset.Dim is pure
+//     guards Dataset/Collection calls; Dataset.Dim is pure
 //     (construction-immutable) and the dataset constructors yield fresh
 //     unpublished objects;
 //   - the handle layer (handleprov, stridebound, genstale, narrowcast)
@@ -193,14 +193,12 @@ func DefaultConfig(modulePath string) Config {
 		GuardedTypes: map[string]bool{
 			modulePath + ".Dataset":                        true,
 			modulePath + "/internal/collection.Collection": true,
-			modulePath + "/internal/skyband.Live":          true,
 		},
 		FreshFuncs: map[string]bool{
 			modulePath + ".NewDataset":                     true,
 			modulePath + "/internal/server.BuildDataset":   true,
 			modulePath + "/internal/collection.New":        true,
 			modulePath + "/internal/collection.FromPoints": true,
-			modulePath + "/internal/skyband.NewLive":       true,
 		},
 		LockModePure: map[string]bool{
 			modulePath + ".Dataset.Dim": true,
@@ -245,11 +243,10 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/server.namedDataset.gen": true,
 		},
 		HandleOwners: map[string]bool{
-			modulePath + ".Dataset":               true,
-			col + ".Collection":                   true,
-			modulePath + "/internal/skyband.Live": true,
-			rt + ".Tree":                          true,
-			rt + "/legacy.Tree":                   true,
+			modulePath + ".Dataset": true,
+			col + ".Collection":     true,
+			rt + ".Tree":            true,
+			rt + "/legacy.Tree":     true,
 		},
 		HandleStableViews: map[string]bool{
 			// Slot-backed vectors: the chunk storage never reallocates, so
@@ -260,10 +257,8 @@ func DefaultConfig(modulePath string) Config {
 			rt + ".Tree.slotVec":    true,
 			col + ".Collection.Get": true,
 			col + ".Collection.at":  true,
-			// Stable by construction: the tree pointer itself, and the
-			// Live's seed vector (fixed at construction).
-			col + ".Collection.Tree":                   true,
-			modulePath + "/internal/skyband.Live.Seed": true,
+			// Stable by construction: the tree pointer itself.
+			col + ".Collection.Tree": true,
 		},
 	}
 }

@@ -97,7 +97,7 @@ type exploreWS struct {
 	key  []byte        // memo key of the union being partitioned
 	// built holds the L_upd hulls this slot built during the current batch,
 	// for the main goroutine to add to the memo once the batch is done.
-	built map[string]*hull.AdjSnapshot
+	built map[string]*hull.Upper
 	// byScore and diff are prune's scratch: the union in descending score
 	// at the region's witness, and one member's point minus another's.
 	byScore []scoredID
@@ -161,7 +161,7 @@ type explorer struct {
 	// union: regions with the same top set in another order share their
 	// union. Batched partitions only read it; the main goroutine fills it
 	// between batches.
-	memo map[string]*hull.AdjSnapshot
+	memo map[string]*hull.Upper
 }
 
 // newExplorer builds an explorer over the candidate records.
@@ -180,7 +180,7 @@ func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Regi
 		clip:   clip,
 		outSet: make(map[int]bool),
 		width:  runtime.GOMAXPROCS(0),
-		memo:   make(map[string]*hull.AdjSnapshot),
+		memo:   make(map[string]*hull.Upper),
 	}
 }
 
@@ -217,7 +217,7 @@ func (e *explorer) pushL1(id int) {
 	e.pushed[id] = true
 	l0 := e.layers.Layer(0)
 	n := e.ws.node()
-	e.buildNodeRegion(n, region.Full(len(e.w)), id, l0.Adj[id])
+	e.buildNodeRegion(n, region.Full(len(e.w)), id, l0.Adj(id))
 	n.top = append(n.top, id)
 	n.deepest = 0
 	e.clipVerts(n, nil)
@@ -448,7 +448,7 @@ func (e *explorer) pop() *regionNode {
 	n := e.h.Pop()
 	if len(n.top) == 1 {
 		l0 := e.layers.Layer(0)
-		for _, a := range l0.Adj[n.top[0]] {
+		for _, a := range l0.Adj(n.top[0]) {
 			e.pushL1(a)
 		}
 	}
@@ -521,8 +521,7 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 			for _, id := range ids {
 				ws.hb.Add(id, e.layers.Point(id))
 			}
-			upd = &hull.AdjSnapshot{}
-			ws.hb.UpperAdjInto(upd)
+			upd = ws.hb.Upper()
 			ws.built[string(key)] = upd
 		}
 		memberIDs = upd.MemberIDs
@@ -559,7 +558,7 @@ func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
 		ws.inTop = make(map[int]bool)
 		ws.cand = make(map[int]bool)
 		ws.visited = make(map[int]bool)
-		ws.built = make(map[string]*hull.AdjSnapshot)
+		ws.built = make(map[string]*hull.Upper)
 	}
 	inTop := ws.inTop
 	clear(inTop)
@@ -575,7 +574,7 @@ func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
 			continue
 		}
 		u := e.layers.Layer(li)
-		for _, a := range u.Adj[id] {
+		for _, a := range u.Adj(id) {
 			if !inTop[a] {
 				cand[a] = true
 			}
@@ -601,12 +600,12 @@ func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
 		for len(queue) > 0 {
 			id := queue[0]
 			queue = queue[1:]
-			ws.hs, ws.floodBack = beatAllScratch(e.layers, id, lnext.Adj[id], ws.hs[:0], ws.floodBack)
+			ws.hs, ws.floodBack = beatAllScratch(e.layers, id, lnext.Adj(id), ws.hs[:0], ws.floodBack)
 			if e.floodMisses(n, ws) {
 				continue
 			}
 			cand[id] = true
-			for _, a := range lnext.Adj[id] {
+			for _, a := range lnext.Adj(id) {
 				if !visited[a] {
 					visited[a] = true
 					queue = append(queue, a)
@@ -840,7 +839,8 @@ func estimateRhoBar(ctx context.Context, tree *rtree.Tree, w geom.Vector, target
 type ORUOptions struct {
 	// NoPartitionBypass disables the small-union shortcut in Theorem-1
 	// partitioning (used by the ablation benchmarks): every partitioning
-	// builds an explicit L_upd upper hull.
+	// builds an explicit L_upd upper hull, so d may be at most 9, the
+	// most hull.NewBuilder takes.
 	NoPartitionBypass bool
 }
 

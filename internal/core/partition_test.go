@@ -66,8 +66,8 @@ func TestPartitionMemoMatchesFreshHull(t *testing.T) {
 				t.Fatalf("%s: memo members %v, fresh hull %v", c.name, upd.MemberIDs, fresh.MemberIDs)
 			}
 			for _, id := range fresh.MemberIDs {
-				if got := upd.Adj(id); !slices.Equal(got, fresh.Adj[id]) {
-					t.Fatalf("%s: member %d: memo adjacency %v, fresh hull %v", c.name, id, got, fresh.Adj[id])
+				if got := upd.Adj(id); !slices.Equal(got, fresh.Adj(id)) {
+					t.Fatalf("%s: member %d: memo adjacency %v, fresh hull %v", c.name, id, got, fresh.Adj(id))
 				}
 			}
 		}
@@ -156,7 +156,7 @@ func TestPartitionPruneSound(t *testing.T) {
 					}
 					if lnext := ex.layers.Layer(nd.deepest + 1); lnext != nil {
 						for _, id := range lnext.MemberIDs {
-							hs, back = beatAllScratch(ex.layers, id, lnext.Adj[id], hs[:0], back)
+							hs, back = beatAllScratch(ex.layers, id, lnext.Adj(id), hs[:0], back)
 							miss, meet := nd.vl.Screen(hs, witnessMargin)
 							if !miss && !meet {
 								continue

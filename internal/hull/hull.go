@@ -1,10 +1,9 @@
 // Package hull is the library's computational-geometry core, replacing the
 // role Qhull [9] plays in the paper's implementation. It computes upper
-// hulls of d-dimensional point sets — the part of the convex hull whose
-// facets have non-negative outward normals, i.e. the records that can be
-// top-1 for some preference vector (Section 5.1) — together with the facet
-// structure ORU consumes: facet norms (points in the preference domain),
-// per-record facet sets F(r), and adjacency sets A(r).
+// hulls of d-dimensional point sets in the form ORU consumes: the members,
+// i.e. the records that are top-1 for some preference vector (Section 5.1),
+// and each member's adjacency set A(r), whose "r beats a" rows bound r's
+// top-region C(r).
 //
 // The algorithm is the incremental beneath-beyond construction: a full
 // convex hull is grown point by point, starting from a synthetic simplex of
@@ -13,8 +12,7 @@
 // facet, while guaranteeing full dimensionality for arbitrarily small or
 // degenerate inputs). Points are deterministically jittered by a hash of
 // their coordinates to enforce general position, which the paper assumes
-// throughout; all outputs (adjacency, norms) are reported for the original
-// coordinates.
+// throughout; the outputs are record ids.
 //
 // From PairwiseDim up, ORU's layers and rho-bar count use no hull at all:
 // one feasibility QP per record answers the same membership question.
@@ -29,29 +27,25 @@ import (
 	"ordu/internal/linalg"
 )
 
-// Upper is the upper hull of a point set with its facet structure.
+// Upper is the upper hull of a point set: its members and their adjacency,
+// in compressed row form.
 type Upper struct {
-	// MemberIDs lists the ids of records on the upper hull, i.e. the
-	// records that are top-1 for at least one preference vector.
+	// MemberIDs lists the ids of the records on the upper hull, ascending:
+	// the records that are top-1 for at least one preference vector.
 	MemberIDs []int
-	// Facets lists the upper facets as sets of member ids (d per facet in
-	// general position).
-	Facets [][]int
-	// Norms holds, per facet, the facet's norm: the outward normal scaled
-	// to unit coordinate sum, a point in the preference domain.
-	Norms []geom.Vector
-	// Adj maps each member id to the ids adjacent to it (sharing an upper
-	// facet): the set A(r) of the paper.
-	Adj map[int][]int
-	// FacetsOf maps each member id to the indices (into Facets) of the
-	// upper facets it defines: the set F(r).
-	FacetsOf map[int][]int
+	adjOff    []int32 // row offsets into adjIDs; len(MemberIDs)+1
+	adjIDs    []int   // concatenated adjacency rows (member ids, sorted)
 }
 
-// IsMember reports whether id lies on the upper hull.
-func (u *Upper) IsMember(id int) bool {
-	_, ok := u.Adj[id]
-	return ok
+// Adj returns the members adjacent to id, ascending: the set A(r) of the
+// paper. It is nil for a non-member. The row aliases u and must not be
+// modified.
+func (u *Upper) Adj(id int) []int {
+	i := sort.SearchInts(u.MemberIDs, id)
+	if i >= len(u.MemberIDs) || u.MemberIDs[i] != id {
+		return nil
+	}
+	return u.adjIDs[u.adjOff[i]:u.adjOff[i+1]]
 }
 
 // facet is one simplicial facet of the full hull under construction.
@@ -64,12 +58,13 @@ type facet struct {
 	visitTag  int
 }
 
-// Builder incrementally constructs a convex hull and exposes upper-hull
-// snapshots. It is the engine behind both one-shot ComputeUpper calls and,
-// below PairwiseDim, the incremental hull maintenance of ORU's rho-bar
-// estimation (Section 5.3). A Builder reuses its insertion scratch (visible/horizon
-// lists, ridge-matching map, facet structs from the free list) across Add
-// calls; it is not goroutine-safe.
+// Builder incrementally constructs a convex hull of points in 2 to 9
+// dimensions and extracts its upper hull. Below PairwiseDim it is the
+// engine behind ORU's layers, its L_upd hulls and the incremental hull of
+// its rho-bar estimation (Section 5.3); from PairwiseDim up only tests and
+// ComputeUpper use it. A Builder reuses its insertion scratch
+// (visible/horizon lists, ridge-matching maps, facet structs from the free
+// list) across Add calls; it is not goroutine-safe.
 type Builder struct {
 	dim     int
 	pts     [][]float64 // jittered working coordinates; sentinels first
@@ -86,10 +81,8 @@ type Builder struct {
 	visible    []*facet
 	horizon    []ridge
 	newFacets  []*facet
-	pending    map[string]facetSlot
-	pendingA   map[ridgeKey]facetSlot // allocation-free keys for d <= 9
+	pendingA   map[ridgeKey]facetSlot // allocation-free array keys
 	pendingP   map[uint64]facetSlot   // packed keys for d <= 6 (fast64 map path)
-	keyBuf     []byte
 	fpts       [][]float64
 	ridgeVerts []int // backing storage for the current horizon's ridge verts
 	vertBuf    []int
@@ -102,11 +95,11 @@ type Builder struct {
 	chunkI   int
 	chunkOff int
 
-	// Membership-test scratch (canTop), reused across Upper calls.
+	// Membership-test scratch (canTopIdx), reused across calls.
 	top    topTest
 	nbrPts [][]float64
 
-	// MemberCount/UpperAdjInto scratch: per-internal-index generation
+	// MemberCount/Upper scratch: per-internal-index generation
 	// stamps, the packed co-facet pair list, and the member ordering buffer.
 	gen         int
 	nbrGen      int
@@ -140,18 +133,53 @@ type facetSlot struct {
 	i int
 }
 
-// NewBuilder returns a hull builder for d-dimensional points, d >= 2.
+// NewBuilder returns a hull builder for d-dimensional points, 2 <= d <= 9.
+// It panics outside that range: a ridge of a 9-d facet has 8 vertices, the
+// most a ridgeKey holds.
 func NewBuilder(d int) *Builder {
-	if d < 2 {
-		panic(fmt.Sprintf("hull: dimension %d < 2", d)) //ordlint:allow nopanic — documented precondition; caller bug, not data-dependent
-	}
+	checkDim(d)
 	return &Builder{dim: d}
 }
 
+// checkDim enforces the Builder's documented dimension range.
+func checkDim(d int) {
+	if d < 2 || d > 9 {
+		panic(fmt.Sprintf("hull: dimension %d outside 2..9", d)) //ordlint:allow nopanic — documented precondition; caller bug, not data-dependent
+	}
+}
+
+// The hull's tolerances. Coordinates are of order 1 (the paper's datasets
+// lie in the unit cube), and package qp, which decides membership for the
+// vertices the facet test below cannot settle, accepts a row violated by
+// at most 1e-10.
 const (
+	// jitterScale bounds the perturbation Add applies to every coordinate
+	// to put the input in general position: each coordinate moves by less
+	// than 1e-9, so a score at any simplex vector moves by less than 1e-9.
+	// Records tied on the original coordinates (collinear, grid and
+	// coplanar points) typically end up about 1e-9 apart in score: three
+	// orders above visEps, so insert sees a tied point clearly beyond or
+	// beneath a facet instead of deciding by rounding, and ten times the
+	// QP's tolerance, so the membership QP, which runs on the same jittered
+	// coordinates, mostly resolves a tie the way the jitter does. Exact
+	// duplicates get equal jitter and stay coincident.
 	jitterScale = 1e-9
-	visEps      = 1e-12
-	upperTol    = 1e-7
+	// visEps is how far beyond a facet's hyperplane a point must lie for
+	// insert to see the facet. Normals have unit length, so it is a
+	// distance: three orders above the rounding of a d-term dot product on
+	// unit-cube data (a few 1e-16) and three below the jitter's offsets. A
+	// point on a facet, such as an exact duplicate of a vertex, sees
+	// nothing and lands inside.
+	visEps = 1e-12
+	// normalSignTol is how negative a coordinate of a facet's unit normal
+	// may be for MemberCount and Upper to take the facet's vertices as
+	// members without a QP. Clamping such a normal to its non-negative part
+	// and scaling it onto the simplex gives a vector at which each vertex
+	// of the facet trails no other point by more than visEps plus about
+	// d·1e-12, well inside the QP's 1e-10 tolerance: the shortcut accepts
+	// no vertex on weaker evidence than the QP would. Anything more
+	// negative goes to the QP, which decides it.
+	normalSignTol = 1e-12
 )
 
 // Reset returns the builder to its empty state for dimension d, retaining
@@ -159,11 +187,10 @@ const (
 // builder Reset between hulls constructs each one without re-paying the
 // allocation cost of a fresh Builder — the pattern ORU's partition loop
 // relies on. Outputs of earlier Upper calls remain valid (they do not alias
-// builder state); points previously Added are forgotten.
+// builder state); points previously Added are forgotten. Like NewBuilder
+// it panics unless 2 <= d <= 9.
 func (b *Builder) Reset(d int) {
-	if d < 2 {
-		panic(fmt.Sprintf("hull: dimension %d < 2", d)) //ordlint:allow nopanic — documented precondition; caller bug, not data-dependent
-	}
+	checkDim(d)
 	// Every facet still on the list is unreachable after the reset: recycle
 	// alive and not-yet-compacted dead ones alike. (Dead facets referenced
 	// by alive neighbors were dropped from the list at compaction time and
@@ -446,37 +473,27 @@ func (b *Builder) insert(pi int) {
 	b.ridgeVerts = rv
 	// Build new facets: ridge + p.
 	newFacets := b.newFacets[:0]
-	// pending maps a sorted sub-ridge (d-1 vertices including p) to the
-	// facet+slot waiting for its partner. Every pending ridge contains p, so
-	// p is omitted from the key: up to d = 6 the remaining <= 4 sorted
-	// vertex indices pack into one uint64 (p is the newest and hence highest
-	// index, so all indices fit 16 bits whenever p does), taking the
-	// runtime's fast 64-bit map path. Up to d = 9 the d-1 ridge vertices
-	// fit a fixed int32 array key, which hashes without the string
-	// conversion's per-insertion copy; larger dimensions fall back to the
-	// string-keyed map.
+	// The pending maps take a sorted sub-ridge (d-1 vertices including p) to
+	// the facet+slot waiting for its partner. Every pending ridge contains
+	// p, so p is omitted from the packed key: up to d = 6 the remaining <= 4
+	// sorted vertex indices pack into one uint64 (p is the newest and hence
+	// highest index, so all indices fit 16 bits whenever p does), taking the
+	// runtime's fast 64-bit map path. Otherwise the d-1 <= 8 ridge vertices
+	// fit a fixed int32 array key, which hashes without allocating.
 	packKeys := b.dim <= 6 && pi < (1<<16)
-	arrayKeys := !packKeys && b.dim <= 9
 	if packKeys {
 		if b.pendingP == nil {
 			b.pendingP = make(map[uint64]facetSlot)
 		}
 		clear(b.pendingP)
-	} else if arrayKeys {
+	} else {
 		if b.pendingA == nil {
 			b.pendingA = make(map[ridgeKey]facetSlot)
 		}
 		clear(b.pendingA)
-	} else {
-		if b.pending == nil {
-			b.pending = make(map[string]facetSlot)
-		}
-		clear(b.pending)
 	}
-	pending := b.pending
 	pendingA := b.pendingA
 	pendingP := b.pendingP
-	keyOf := b.keyOf
 	for _, r := range horizon {
 		verts := append(append(b.vertBuf[:0], rv[r.lo:r.hi]...), pi)
 		b.vertBuf = verts[:0]
@@ -517,24 +534,13 @@ func (b *Builder) insert(pi int) {
 				}
 				continue
 			}
-			if arrayKeys {
-				key := ridgeKeyOf(nf.verts, i)
-				if other, ok := pendingA[key]; ok {
-					nf.neighbors[i] = other.f
-					other.f.neighbors[other.i] = nf
-					delete(pendingA, key)
-				} else {
-					pendingA[key] = facetSlot{f: nf, i: i}
-				}
-				continue
-			}
-			key := keyOf(nf.verts, i)
-			if other, ok := pending[key]; ok {
+			key := ridgeKeyOf(nf.verts, i)
+			if other, ok := pendingA[key]; ok {
 				nf.neighbors[i] = other.f
 				other.f.neighbors[other.i] = nf
-				delete(pending, key)
+				delete(pendingA, key)
 			} else {
-				pending[key] = facetSlot{f: nf, i: i}
+				pendingA[key] = facetSlot{f: nf, i: i}
 			}
 		}
 		newFacets = append(newFacets, nf)
@@ -579,23 +585,6 @@ func (b *Builder) insert(pi int) {
 			b.facets = kept
 		}
 	}
-}
-
-// keyOf builds the map key for the sub-ridge of verts that skips index
-// skip, reusing the builder's byte buffer (the map key string itself is
-// necessarily allocated on first insertion).
-//
-//ordlint:noalloc
-func (b *Builder) keyOf(verts []int, skip int) string {
-	buf := b.keyBuf[:0]
-	for k, v := range verts {
-		if k == skip {
-			continue
-		}
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-	}
-	b.keyBuf = buf
-	return string(buf) //ordlint:allow noalloc — map-key strings must be immutable; the copy is the point
 }
 
 // ridgeKeyOf packs the sub-ridge of verts that skips index skip into a
@@ -653,188 +642,12 @@ func matchesExcept(verts []int, skip int, want []int) bool {
 	return true
 }
 
-// Upper extracts the current upper hull.
-//
-// Membership uses the exact local criterion rather than facet-normal signs:
-// a hull vertex r is top-1 for some preference vector iff there is a v on
-// the simplex with (r - q).v >= 0 for every hull vertex q adjacent to r in
-// the full facet graph (beating all neighbours of a convex-hull vertex
-// means beating everything, for any linear objective). This correctly
-// captures records that win only near the boundary of the preference
-// domain, whose incident facets all have mixed-sign normals. Adjacency is
-// the full-hull co-facet relation restricted to members, which is exactly
-// the constraint set defining the top-region C(r): any record tying r at
-// the top for some v shares a hull facet with r.
-func (b *Builder) Upper() *Upper {
-	u := &Upper{
-		Adj:      make(map[int][]int),
-		FacetsOf: make(map[int][]int),
-	}
-	if !b.started {
-		return u
-	}
-	// Full-hull adjacency among real vertices (sentinels excluded).
-	fullAdj := make(map[int]map[int]bool)
-	touch := func(id int) {
-		if _, ok := fullAdj[id]; !ok {
-			fullAdj[id] = make(map[int]bool)
-		}
-	}
-	for _, f := range b.facets {
-		if f.dead {
-			continue
-		}
-		for _, v := range f.verts {
-			if b.ids[v] < 0 {
-				continue
-			}
-			touch(b.ids[v])
-			for _, o := range f.verts {
-				if o != v && b.ids[o] >= 0 {
-					fullAdj[b.ids[v]][b.ids[o]] = true
-				}
-			}
-		}
-	}
-	// Point lookup by external id (the builder may hold stale duplicates
-	// of an id only if the caller added one; ids are unique by contract).
-	ptOf := make(map[int]geom.Vector, len(fullAdj))
-	for i, id := range b.ids {
-		if id >= 0 {
-			ptOf[id] = b.pts[i]
-		}
-	}
-	// Fast path: a vertex incident to a facet whose outward normal is
-	// (strictly) non-negative is certainly top-1 at that facet's norm; the
-	// QP membership test is needed only for vertices whose facets all have
-	// mixed-sign normals (winners confined to the simplex boundary).
-	fastMember := make(map[int]bool)
-	for _, f := range b.facets {
-		if f.dead {
-			continue
-		}
-		nonneg := true
-		for _, x := range f.normal {
-			if x < -1e-12 {
-				nonneg = false
-				break
-			}
-		}
-		if !nonneg {
-			continue
-		}
-		for _, v := range f.verts {
-			if b.ids[v] >= 0 {
-				fastMember[b.ids[v]] = true
-			}
-		}
-	}
-	members := make(map[int]bool)
-	for id, adj := range fullAdj {
-		if fastMember[id] || b.canTop(ptOf[id], adj, ptOf) {
-			members[id] = true
-		}
-	}
-	for id := range members {
-		adj := make([]int, 0, len(fullAdj[id]))
-		for o := range fullAdj[id] {
-			if members[o] {
-				adj = append(adj, o)
-			}
-		}
-		sort.Ints(adj)
-		u.Adj[id] = adj
-		u.MemberIDs = append(u.MemberIDs, id)
-	}
-	sort.Ints(u.MemberIDs)
-	// Informational facet structure: real-vertex facets with non-negative
-	// normals (the facets whose norms are interior preference points).
-	for _, f := range b.facets {
-		if f.dead || !b.isUpper(f) {
-			continue
-		}
-		fi := len(u.Facets)
-		idv := make([]int, len(f.verts))
-		for i, v := range f.verts {
-			idv[i] = b.ids[v]
-		}
-		u.Facets = append(u.Facets, idv)
-		u.Norms = append(u.Norms, normOf(f))
-		for _, id := range idv {
-			u.FacetsOf[id] = append(u.FacetsOf[id], fi)
-		}
-	}
-	return u
-}
-
-// canTop reports whether some preference vector makes p score at least as
-// high as all points in adj (and hence as the whole hull).
-//
-//ordlint:noalloc
-func (b *Builder) canTop(p geom.Vector, adj map[int]bool, ptOf map[int]geom.Vector) bool {
-	others := b.nbrPts[:0]
-	for o := range adj {
-		others = append(others, ptOf[o])
-	}
-	b.nbrPts = others
-	return b.top.canTop(p, others)
-}
-
-// isUpper reports whether f is an upper facet: all-real vertices and a
-// non-negative normal within tolerance.
-func (b *Builder) isUpper(f *facet) bool {
-	for _, v := range f.verts {
-		if b.ids[v] < 0 {
-			return false
-		}
-	}
-	for _, x := range f.normal {
-		if x < -upperTol {
-			return false
-		}
-	}
-	return true
-}
-
-// normOf returns the facet norm: the outward normal clamped to the
-// non-negative orthant and scaled to unit sum (a preference-domain point).
-func normOf(f *facet) geom.Vector {
-	n := make(geom.Vector, len(f.normal))
-	s := 0.0
-	for j, x := range f.normal {
-		if x < 0 {
-			x = 0
-		}
-		n[j] = x
-		s += x
-	}
-	if s <= 0 {
-		// Cannot happen for a genuine upper facet; return barycentre to
-		// stay well-defined.
-		for j := range n {
-			n[j] = 1 / float64(len(n))
-		}
-		return n
-	}
-	for j := range n {
-		n[j] /= s
-	}
-	return n
-}
-
-// VertexCount returns the number of distinct real points currently on the
-// upper hull. ORU's rho-bar estimation keeps feeding the incremental
-// rho-skyline until this count reaches m (Section 5.3).
-func (b *Builder) VertexCount() int {
-	return b.MemberCount()
-}
-
 // MemberCount counts the real points currently on the upper hull without
-// materialising the full Upper structure: one facet scan stamps the certain
-// members (vertices of a facet with non-negative normal), and only the rare
-// boundary-confined vertices run the QP membership test, with adjacency
-// gathered on demand. Repeated calls reuse the builder's stamp buffers —
-// this is the polling primitive of the rho-bar estimation loop.
+// extracting it: one facet scan stamps the certain members (vertices of a
+// facet with non-negative normal), and only the rare boundary-confined
+// vertices run the QP membership test, with adjacency gathered on demand.
+// Repeated calls reuse the builder's stamp buffers — this is the polling
+// primitive of the rho-bar estimation loop below PairwiseDim.
 func (b *Builder) MemberCount() int {
 	if !b.started {
 		return 0
@@ -855,7 +668,7 @@ func (b *Builder) MemberCount() int {
 		}
 		nonneg := true
 		for _, x := range f.normal {
-			if x < -1e-12 {
+			if x < -normalSignTol {
 				nonneg = false
 				break
 			}
@@ -913,48 +726,35 @@ func (b *Builder) MemberCount() int {
 	return count
 }
 
-// AdjSnapshot is the members+adjacency part of an upper hull in compressed
-// row form, built by UpperAdjInto into caller-reusable buffers. It carries
-// exactly what ORU's partition step consumes (MemberIDs and per-member
-// adjacency) without the full Upper's per-call maps.
-type AdjSnapshot struct {
-	// MemberIDs lists the upper-hull member ids, ascending.
-	MemberIDs []int
-	adjOff    []int32 // row offsets into adjIDs; len(MemberIDs)+1
-	adjIDs    []int   // concatenated adjacency rows (member ids, sorted)
-}
-
-// Adj returns the adjacent member ids of id (sorted), or nil for non-members.
-// The row aliases the snapshot's buffer: valid until the next UpperAdjInto.
-func (s *AdjSnapshot) Adj(id int) []int {
-	i := sort.SearchInts(s.MemberIDs, id)
-	if i >= len(s.MemberIDs) || s.MemberIDs[i] != id {
-		return nil
-	}
-	return s.adjIDs[s.adjOff[i]:s.adjOff[i+1]]
-}
-
-// UpperAdjInto extracts the current upper hull's members and member
-// adjacency into s, reusing both the snapshot's and the builder's buffers.
-// Membership follows exactly the criterion of Upper (fast facet-normal path,
-// QP test for boundary-confined vertices); the result is identical to
-// Upper()'s MemberIDs/Adj with none of its map construction. This is the
-// extraction ORU's partition loop runs once per L_upd hull.
-func (b *Builder) UpperAdjInto(s *AdjSnapshot) {
-	s.MemberIDs = s.MemberIDs[:0]
-	s.adjOff = append(s.adjOff[:0], 0)
-	s.adjIDs = s.adjIDs[:0]
+// Upper extracts the current upper hull.
+//
+// Membership uses the exact local criterion rather than facet-normal signs:
+// a hull vertex r is top-1 for some preference vector iff there is a v on
+// the simplex with (r - q).v >= 0 for every hull vertex q adjacent to r in
+// the full facet graph (beating all neighbours of a convex-hull vertex
+// means beating everything, for any linear objective). This correctly
+// captures records that win only near the boundary of the preference
+// domain, whose incident facets all have mixed-sign normals; a vertex of a
+// facet with non-negative normal is a member without the test. Adjacency
+// is the full-hull co-facet relation restricted to members, which is
+// exactly the constraint set defining the top-region C(r): any record
+// tying r at the top for some v shares a hull facet with r.
+//
+// One sweep over the facets gathers both: it stamps hull and certain
+// vertices and collects the co-facet pairs, which two counting-sort passes
+// group into per-vertex runs.
+func (b *Builder) Upper() *Upper {
+	u := &Upper{}
 	if !b.started {
-		return
+		return u
 	}
 	n := len(b.pts)
 	if cap(b.fastStamp) < n {
 		b.fastStamp = make([]int, 2*n)
 		b.hullStamp = make([]int, 2*n)
 		b.nbrStamp = make([]int, 2*n)
-		b.memberStamp = make([]int, 2*n)
 	}
-	if cap(b.memberStamp) < n { // builder predates the snapshot buffers
+	if cap(b.memberStamp) < n {
 		b.memberStamp = make([]int, 2*n)
 	}
 	fast := b.fastStamp[:n]
@@ -971,7 +771,7 @@ func (b *Builder) UpperAdjInto(s *AdjSnapshot) {
 		}
 		nonneg := true
 		for _, x := range f.normal {
-			if x < -1e-12 {
+			if x < -normalSignTol {
 				nonneg = false
 				break
 			}
@@ -1073,20 +873,23 @@ func (b *Builder) UpperAdjInto(s *AdjSnapshot) {
 		}
 	}
 	sort.Slice(ext, func(a, c int) bool { return b.ids[ext[a]] < b.ids[ext[c]] })
+	u.MemberIDs = make([]int, 0, len(ext))
+	u.adjOff = make([]int32, 1, len(ext)+1)
 	for _, v := range ext {
-		s.MemberIDs = append(s.MemberIDs, b.ids[v])
+		u.MemberIDs = append(u.MemberIDs, b.ids[v])
 		lo := sort.Search(len(pairs), func(k int) bool { return pairs[k] >= int64(v)<<32 })
-		row0 := len(s.adjIDs)
+		row0 := len(u.adjIDs)
 		for k := lo; k < len(pairs) && int(pairs[k]>>32) == v; k++ {
 			if o := int(uint32(pairs[k])); member[o] == gen {
-				s.adjIDs = append(s.adjIDs, b.ids[o])
+				u.adjIDs = append(u.adjIDs, b.ids[o])
 			}
 		}
-		sort.Ints(s.adjIDs[row0:])
-		s.adjOff = append(s.adjOff, int32(len(s.adjIDs)))
+		sort.Ints(u.adjIDs[row0:])
+		u.adjOff = append(u.adjOff, int32(len(u.adjIDs)))
 	}
 	b.extBuf = ext[:0]
 	b.pairBuf = pairs[:0]
+	return u
 }
 
 // canTopIdx is canTop over internal point indices: can point v score at
@@ -1109,7 +912,7 @@ func ComputeUpper(ids []int, points []geom.Vector) *Upper {
 		panic("hull: ids and points length mismatch") //ordlint:allow nopanic — documented precondition; caller bug, not data-dependent
 	}
 	if len(ids) == 0 {
-		return &Upper{Adj: map[int][]int{}, FacetsOf: map[int][]int{}}
+		return &Upper{}
 	}
 	b := NewBuilder(len(points[0]))
 	for i, id := range ids {

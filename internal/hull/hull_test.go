@@ -1,12 +1,15 @@
 package hull
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"ordu/internal/geom"
+	"ordu/internal/qp"
 )
 
 func randPoints(rng *rand.Rand, n, d int) []geom.Vector {
@@ -46,14 +49,15 @@ func TestUpper2DKnown(t *testing.T) {
 		t.Fatalf("members = %v, want %v", u.MemberIDs, want)
 	}
 	// Adjacency along the chain: 0-1, 1-3.
-	if !equalIntSlices(u.Adj[1], []int{0, 3}) {
-		t.Errorf("Adj[1] = %v", u.Adj[1])
+	if !equalIntSlices(u.Adj(1), []int{0, 3}) {
+		t.Errorf("Adj(1) = %v", u.Adj(1))
 	}
-	if !equalIntSlices(u.Adj[0], []int{1}) || !equalIntSlices(u.Adj[3], []int{1}) {
-		t.Errorf("chain ends adjacency wrong: %v %v", u.Adj[0], u.Adj[3])
+	if !equalIntSlices(u.Adj(0), []int{1}) || !equalIntSlices(u.Adj(3), []int{1}) {
+		t.Errorf("chain ends adjacency wrong: %v %v", u.Adj(0), u.Adj(3))
 	}
-	if len(u.Facets) != 2 {
-		t.Fatalf("facets = %v", u.Facets)
+	// Interior records have no row.
+	if u.Adj(2) != nil || u.Adj(4) != nil {
+		t.Errorf("interior rows: Adj(2) = %v, Adj(4) = %v", u.Adj(2), u.Adj(4))
 	}
 }
 
@@ -69,65 +73,100 @@ func equalIntSlices(a, b []int) bool {
 	return true
 }
 
-// TestUpperWinnersAreMembers: for random preference vectors, the top-1
-// record must be an upper-hull member, and at every facet norm all facet
-// vertices must be tied at the maximum score.
+// simplexProblem returns a projection QP over the simplex of dimension d,
+// targeting the all-ones vector (which projects as the centroid does);
+// callers append their own rows.
+func simplexProblem(d int) *qp.Problem {
+	return &qp.Problem{
+		P:   geom.SimplexOnes(d),
+		EqA: [][]float64{geom.SimplexOnes(d)},
+		EqB: []float64{1},
+		InA: append([][]float64(nil), geom.SimplexAxes(d)...),
+		InB: append([]float64(nil), geom.SimplexZeros(d)...),
+	}
+}
+
+// definitionMember is the membership oracle, taken from the definition
+// rather than from any hull: pts[i] is a member iff some simplex vector v
+// has (pts[i] - q).v >= 0 for every other record q. One feasibility QP over
+// the simplex with one row per other record decides it.
+func definitionMember(pts []geom.Vector, i int) bool {
+	pr := simplexProblem(len(pts[i]))
+	for j, q := range pts {
+		if j != i {
+			pr.InA = append(pr.InA, pts[i].Sub(q))
+			pr.InB = append(pr.InB, 0)
+		}
+	}
+	return qp.Feasible(pr)
+}
+
+// adjRowsMiss samples simplex vectors and returns a description of the
+// first one at which some member beats every record of its Adj row, yet
+// trails another record by more than 1e-9: the rows would then not bound
+// the member's top-region. It returns "" when no sample shows a miss.
+func adjRowsMiss(rng *rand.Rand, u *Upper, pts []geom.Vector, samples int) string {
+	scores := make([]float64, len(pts))
+	for s := 0; s < samples; s++ {
+		v := geom.RandSimplex(rng, len(pts[0]))
+		best := math.Inf(-1)
+		for i, p := range pts {
+			scores[i] = p.Dot(v)
+			best = max(best, scores[i])
+		}
+		for _, id := range u.MemberIDs {
+			beatsRow := true
+			for _, a := range u.Adj(id) {
+				beatsRow = beatsRow && scores[id] >= scores[a]
+			}
+			if beatsRow && scores[id] < best-1e-9 {
+				return fmt.Sprintf("member %d beats its row %v at %v but trails the best score by %g", id, u.Adj(id), v, best-scores[id])
+			}
+		}
+	}
+	return ""
+}
+
+// TestUpperStructure checks members and adjacency against the definition
+// on random data at d = 2..8, both for the Builder's hull and for layer 0
+// of Layers (the Builder below PairwiseDim, the pairwise peel from it):
+//
+//   - a record is a member iff definitionMember says so, for every record,
+//     not only for the hull's vertices;
+//   - a member that beats every record of its Adj row at a sampled simplex
+//     vector beats every record there, within 1e-9;
+//   - adjacency is symmetric and lists members only.
 func TestUpperStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	for _, d := range []int{2, 3, 4, 5} {
+	for d := 2; d <= 8; d++ {
+		n := 80
+		if d >= PairwiseDim {
+			n = 40
+		}
 		for trial := 0; trial < 3; trial++ {
-			pts := randPoints(rng, 60+trial*50, d)
-			u := ComputeUpper(seqIDs(len(pts)), pts)
-			members := map[int]bool{}
-			for _, id := range u.MemberIDs {
-				members[id] = true
-			}
-			// Sampled winners must be members.
-			for s := 0; s < 300; s++ {
-				v := geom.RandSimplex(rng, d)
-				best, bestScore := -1, math.Inf(-1)
-				for i, p := range pts {
-					if sc := p.Dot(v); sc > bestScore {
-						best, bestScore = i, sc
+			pts := randPoints(rng, n, d)
+			ids := seqIDs(len(pts))
+			for _, hl := range []struct {
+				name string
+				u    *Upper
+			}{{"Builder", ComputeUpper(ids, pts)}, {"Layer(0)", NewLayers(ids, pts).Layer(0)}} {
+				u := hl.u
+				for i := range pts {
+					if got, want := slices.Contains(u.MemberIDs, i), definitionMember(pts, i); got != want {
+						t.Fatalf("d=%d trial %d %s: record %d member = %v, definition says %v", d, trial, hl.name, i, got, want)
 					}
 				}
-				if !members[best] {
-					t.Fatalf("d=%d: winner %d for %v not an upper-hull member", d, best, v)
+				if miss := adjRowsMiss(rng, u, pts, 400); miss != "" {
+					t.Fatalf("d=%d trial %d %s: %s", d, trial, hl.name, miss)
 				}
-			}
-			// Facet norms: all facet vertices tie at the max score.
-			for fi, facet := range u.Facets {
-				norm := u.Norms[fi]
-				if !geom.OnSimplex(norm) {
-					t.Fatalf("facet norm %v off simplex", norm)
-				}
-				scores := make([]float64, len(facet))
-				maxAll := math.Inf(-1)
-				for _, p := range pts {
-					if sc := p.Dot(norm); sc > maxAll {
-						maxAll = sc
-					}
-				}
-				for i, id := range facet {
-					scores[i] = pts[id].Dot(norm)
-					if scores[i] < maxAll-1e-5 {
-						t.Fatalf("d=%d facet %d: vertex %d score %g below max %g at norm",
-							d, fi, id, scores[i], maxAll)
-					}
-				}
-			}
-			// Adjacency is symmetric.
-			for id, adj := range u.Adj {
-				for _, o := range adj {
-					found := false
-					for _, back := range u.Adj[o] {
-						if back == id {
-							found = true
-							break
+				for _, id := range u.MemberIDs {
+					for _, o := range u.Adj(id) {
+						if !slices.Contains(u.MemberIDs, o) {
+							t.Fatalf("d=%d %s: Adj(%d) lists non-member %d", d, hl.name, id, o)
 						}
-					}
-					if !found {
-						t.Fatalf("adjacency not symmetric: %d->%d", id, o)
+						if !slices.Contains(u.Adj(o), id) {
+							t.Fatalf("d=%d %s: adjacency not symmetric: %d->%d", d, hl.name, id, o)
+						}
 					}
 				}
 			}
@@ -135,28 +174,33 @@ func TestUpperStructure(t *testing.T) {
 	}
 }
 
-// TestMembersWinSomewhere: every member must be the (weak) top scorer at
-// the average of its facet norms.
+// TestMembersWinSomewhere: every member's Adj rows leave it a non-empty
+// top-region, and at the points of that region nearest each simplex corner
+// and the centroid (its extreme points, where a missing row would show
+// first) the member scores at least as high as every record, within 1e-9.
 func TestMembersWinSomewhere(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for _, d := range []int{2, 3, 4} {
-		pts := randPoints(rng, 120, d)
+	for _, d := range []int{2, 3, 4, 5, 6} {
+		pts := randPoints(rng, 80, d)
 		u := ComputeUpper(seqIDs(len(pts)), pts)
+		targets := append([][]float64{geom.SimplexOnes(d)}, geom.SimplexAxes(d)...)
 		for _, id := range u.MemberIDs {
-			fs := u.FacetsOf[id]
-			if len(fs) == 0 {
-				continue // degenerate fallback member
+			pr := simplexProblem(d)
+			for _, a := range u.Adj(id) {
+				pr.InA = append(pr.InA, pts[id].Sub(pts[a]))
+				pr.InB = append(pr.InB, 0)
 			}
-			v := make(geom.Vector, d)
-			for _, fi := range fs {
-				for j := range v {
-					v[j] += u.Norms[fi][j] / float64(len(fs))
+			for _, target := range targets {
+				pr.P = target
+				v, _, err := qp.Solve(pr)
+				if err != nil {
+					t.Fatalf("d=%d: member %d has an empty top-region under its rows %v", d, id, u.Adj(id))
 				}
-			}
-			my := pts[id].Dot(v)
-			for i, p := range pts {
-				if i != id && p.Dot(v) > my+1e-6 {
-					t.Fatalf("d=%d: member %d loses to %d at its top-region centre", d, id, i)
+				my := pts[id].Dot(v)
+				for i, p := range pts {
+					if p.Dot(v) > my+1e-9 {
+						t.Fatalf("d=%d: member %d loses to %d by %g at %v, inside its rows %v", d, id, i, p.Dot(v)-my, v, u.Adj(id))
+					}
 				}
 			}
 		}
@@ -189,8 +233,8 @@ func TestSinglePoint(t *testing.T) {
 	if !equalIntSlices(u.MemberIDs, []int{7}) {
 		t.Fatalf("members = %v", u.MemberIDs)
 	}
-	if !u.IsMember(7) || u.IsMember(8) {
-		t.Error("IsMember wrong")
+	if len(u.Adj(7)) != 0 || u.Adj(8) != nil {
+		t.Errorf("Adj(7) = %v, Adj(8) = %v; want an empty row and none", u.Adj(7), u.Adj(8))
 	}
 }
 
@@ -213,7 +257,7 @@ func TestDominatedPointNeverMember(t *testing.T) {
 		}
 		pts = append(pts, weak)
 		u := ComputeUpper(seqIDs(len(pts)), pts)
-		if u.IsMember(len(pts) - 1) {
+		if slices.Contains(u.MemberIDs, len(pts)-1) || u.Adj(len(pts)-1) != nil {
 			t.Fatalf("d=%d: dominated point on upper hull", d)
 		}
 	}
@@ -317,8 +361,8 @@ func TestVertexCountMonotone(t *testing.T) {
 		x := float64(i) / 19
 		y := math.Sqrt(1 - x*x)
 		b.Add(i, geom.Vector{x, y})
-		if got := b.VertexCount(); got != i+1 {
-			t.Fatalf("after %d circle points, VertexCount = %d", i+1, got)
+		if got := b.MemberCount(); got != i+1 {
+			t.Fatalf("after %d circle points, MemberCount = %d", i+1, got)
 		}
 	}
 }
@@ -330,4 +374,22 @@ func TestNewBuilderPanicsOnLowDim(t *testing.T) {
 		}
 	}()
 	NewBuilder(1)
+}
+
+// TestBuilderRejectsHighDim: the Builder takes at most 9 dimensions, the
+// most its ridge keys hold; NewBuilder and Reset both enforce it.
+func TestBuilderRejectsHighDim(t *testing.T) {
+	for name, f := range map[string]func(){
+		"NewBuilder": func() { NewBuilder(10) },
+		"Reset":      func() { NewBuilder(9).Reset(10) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: expected panic for d=10", name)
+				}
+			}()
+			f()
+		}()
+	}
 }

@@ -19,8 +19,7 @@ import (
 // tested with one QP per record on the Builder's jittered coordinates.
 // Exact duplicates share a layer. Each member's Adj lists every other
 // member of its layer, a superset of co-facet adjacency and so still a
-// superset of the rows that define its top-region C(r); Facets, Norms and
-// FacetsOf stay empty. ORU reads only MemberIDs and Adj.
+// superset of the rows that define its top-region C(r).
 type Layers struct {
 	points    map[int]geom.Vector
 	remaining map[int]bool
@@ -131,6 +130,3 @@ func (ls *Layers) Point(id int) geom.Vector { return ls.points[id] }
 
 // Computed returns how many layers have been materialised so far.
 func (ls *Layers) Computed() int { return len(ls.layers) }
-
-// Size returns the total number of records under management.
-func (ls *Layers) Size() int { return len(ls.points) }

@@ -98,7 +98,7 @@ func equalVec(a, b []float64) bool {
 // peelPairwise extracts the upper-hull layer of the given records (ids
 // ascending, pts parallel) by the pairwise criterion on their jittered
 // coordinates, so exact duplicates share the outcome. Every member's Adj
-// row, all other members, is carved from one backing array.
+// row lists all other members.
 func peelPairwise(ids []int, pts []geom.Vector) *Upper {
 	d := len(pts[0])
 	jit := make([]float64, len(pts)*d)
@@ -108,19 +108,19 @@ func peelPairwise(ids []int, pts []geom.Vector) *Upper {
 		jitterInto(jpts[i], p)
 	}
 	var t topTest
-	u := &Upper{Adj: make(map[int][]int)}
+	u := &Upper{}
 	for i := range jpts {
 		if t.canTopAmong(jpts, i) {
 			u.MemberIDs = append(u.MemberIDs, ids[i])
 		}
 	}
 	nm := len(u.MemberIDs)
-	back := make([]int, 0, nm*(nm-1))
-	for a, id := range u.MemberIDs {
-		lo := len(back)
-		back = append(back, u.MemberIDs[:a]...)
-		back = append(back, u.MemberIDs[a+1:]...)
-		u.Adj[id] = back[lo:len(back):len(back)]
+	u.adjOff = make([]int32, 1, nm+1)
+	u.adjIDs = make([]int, 0, nm*(nm-1))
+	for a := range u.MemberIDs {
+		u.adjIDs = append(u.adjIDs, u.MemberIDs[:a]...)
+		u.adjIDs = append(u.adjIDs, u.MemberIDs[a+1:]...)
+		u.adjOff = append(u.adjOff, int32(len(u.adjIDs)))
 	}
 	return u
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ordu/internal/data"
@@ -36,7 +37,7 @@ func builderPeel(ids []int, pts []geom.Vector) []*Upper {
 		var restIDs []int
 		var restPts []geom.Vector
 		for i, id := range ids {
-			if !u.IsMember(id) {
+			if !slices.Contains(u.MemberIDs, id) {
 				restIDs = append(restIDs, id)
 				restPts = append(restPts, pts[i])
 			}
@@ -72,17 +73,10 @@ func TestPairwiseLayersMatchBuilder(t *testing.T) {
 					if !reflect.DeepEqual(got.MemberIDs, wl.MemberIDs) {
 						t.Fatalf("%s d=%d trial %d layer %d: pairwise members %v, Builder %v", name, d, trial, li, got.MemberIDs, wl.MemberIDs)
 					}
-					if len(got.Facets) != 0 || len(got.Norms) != 0 || len(got.FacetsOf) != 0 {
-						t.Fatalf("%s d=%d: pairwise layer carries facet structure", name, d)
-					}
-					for id, row := range wl.Adj {
-						in := map[int]bool{}
-						for _, o := range got.Adj[id] {
-							in[o] = true
-						}
-						for _, o := range row {
-							if !in[o] {
-								t.Fatalf("%s d=%d trial %d layer %d: Builder adj %d-%d missing from pairwise row %v", name, d, trial, li, id, o, got.Adj[id])
+					for _, id := range wl.MemberIDs {
+						for _, o := range wl.Adj(id) {
+							if !slices.Contains(got.Adj(id), o) {
+								t.Fatalf("%s d=%d trial %d layer %d: Builder adj %d-%d missing from pairwise row %v", name, d, trial, li, id, o, got.Adj(id))
 							}
 						}
 					}
@@ -115,7 +109,7 @@ func TestPairwiseLayersShareDuplicates(t *testing.T) {
 				t.Fatalf("record %d on layer %d, its copy %d on layer %d", id, l0, copyID, lc)
 			}
 			found := false
-			for _, o := range ls.Layer(l0).Adj[id] {
+			for _, o := range ls.Layer(l0).Adj(id) {
 				found = found || o == copyID
 			}
 			if !found {

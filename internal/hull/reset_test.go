@@ -36,32 +36,11 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 		if !reflect.DeepEqual(got.MemberIDs, want.MemberIDs) {
 			t.Fatalf("trial %d (d=%d n=%d): members %v vs fresh %v", trial, d, n, got.MemberIDs, want.MemberIDs)
 		}
-		if !reflect.DeepEqual(got.Adj, want.Adj) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (d=%d n=%d): adjacency diverges", trial, d, n)
-		}
-		if !reflect.DeepEqual(got.Facets, want.Facets) || !reflect.DeepEqual(got.Norms, want.Norms) {
-			t.Fatalf("trial %d (d=%d n=%d): facet structure diverges", trial, d, n)
 		}
 		if gc, wc := pooled.MemberCount(), len(want.MemberIDs); gc != wc {
 			t.Fatalf("trial %d (d=%d n=%d): MemberCount %d, Upper members %d", trial, d, n, gc, wc)
-		}
-		var snap AdjSnapshot
-		pooled.UpperAdjInto(&snap)
-		if !reflect.DeepEqual(snap.MemberIDs, want.MemberIDs) {
-			t.Fatalf("trial %d (d=%d n=%d): snapshot members %v vs Upper %v", trial, d, n, snap.MemberIDs, want.MemberIDs)
-		}
-		for _, id := range want.MemberIDs {
-			row := append([]int(nil), snap.Adj(id)...)
-			if len(row) == 0 {
-				row = nil
-			}
-			wrow := want.Adj[id]
-			if len(wrow) == 0 {
-				wrow = nil
-			}
-			if !reflect.DeepEqual(row, wrow) {
-				t.Fatalf("trial %d (d=%d n=%d): snapshot adj[%d] = %v, Upper %v", trial, d, n, id, row, wrow)
-			}
 		}
 	}
 }

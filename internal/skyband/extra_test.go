@@ -1,6 +1,7 @@
 package skyband
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -19,7 +20,10 @@ func TestIRDLargeK(t *testing.T) {
 	ird := NewIRD(tr, w, 100)
 	count := 0
 	for {
-		r, ok := ird.Next()
+		r, ok, err := ird.NextCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
@@ -37,8 +41,8 @@ func TestIRDLargeK(t *testing.T) {
 func TestIRDEmptyTree(t *testing.T) {
 	tr := rtree.New(2)
 	ird := NewIRD(tr, geom.Vector{0.5, 0.5}, 1)
-	if _, ok := ird.Next(); ok {
-		t.Fatal("empty tree released a record")
+	if _, ok, err := ird.NextCtx(context.Background()); err != nil || ok {
+		t.Fatalf("empty tree: released a record (%v) or failed (%v)", ok, err)
 	}
 }
 
@@ -52,7 +56,10 @@ func TestIRDFetchedCount(t *testing.T) {
 	released := 0
 	prevFetched := 0
 	for i := 0; i < 20; i++ {
-		_, ok := ird.Next()
+		_, ok, err := ird.NextCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}

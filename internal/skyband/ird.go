@@ -194,20 +194,14 @@ func (ird *IRD) fetch() bool {
 	return true
 }
 
-// Next releases the rho-skyband member with the smallest remaining
-// inflection radius. ok is false once the entire k-skyband is exhausted.
-func (ird *IRD) Next() (Released, bool) {
-	r, ok, _ := ird.NextCtx(context.Background()) //ordlint:allow senterr — context.Background never cancels, so the error is structurally nil
-	return r, ok
-}
-
-// NextCtx is Next with cooperative cancellation. A single release can
-// internally fetch thousands of k-skyband records, each paying one mindist
-// per earlier record its heap entry has not yet seen, so the fetch loop
-// itself polls ctx every few iterations and aborts with an error wrapping
-// ctx.Err(). The returned record's Point aliases the dataset's storage (it
-// is not a copy); it stays valid for the lifetime of the underlying tree
-// and must be copied if retained beyond it.
+// NextCtx releases the rho-skyband member with the smallest remaining
+// inflection radius; ok is false once the entire k-skyband is exhausted.
+// A single release can internally fetch thousands of k-skyband records,
+// each paying one mindist per earlier record its heap entry has not yet
+// seen, so the fetch loop itself polls ctx every few iterations and aborts
+// with an error wrapping ctx.Err(). The returned record's Point aliases the
+// dataset's storage (it is not a copy); it stays valid for the lifetime of
+// the underlying tree and must be copied if retained beyond it.
 func (ird *IRD) NextCtx(ctx context.Context) (Released, bool, error) {
 	for i := 0; ; i++ {
 		if i%64 == 0 {

@@ -1,6 +1,7 @@
 package skyband
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -63,7 +64,10 @@ func checkIRD(t *testing.T, name string, tree *rtree.Tree, pts []geom.Vector, w 
 	var last Released
 	maxBrute, next := 0.0, 0
 	for j := 0; ; j++ {
-		r, ok := ird.Next()
+		r, ok, err := ird.NextCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}

@@ -276,17 +276,3 @@ func RhoDominates(w, rj, ri geom.Vector, rho float64) bool {
 	}
 	return Mindist(w, ri, rj) >= rho
 }
-
-// RhoDominatesWS is RhoDominates with a caller-supplied workspace.
-//
-//ordlint:noalloc
-func RhoDominatesWS(w, rj, ri geom.Vector, rho float64, ws *Workspace) bool {
-	sj, si := rj.Dot(w), ri.Dot(w)
-	if sj < si {
-		return false
-	}
-	if sj == si && !rj.Dominates(ri) { //ordlint:allow floatcmp — definitional tie guard on identically computed scores
-		return false
-	}
-	return MindistWS(w, ri, rj, ws) >= rho
-}

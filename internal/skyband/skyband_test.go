@@ -274,7 +274,10 @@ func TestIRDOrderAndCompleteness(t *testing.T) {
 		ird := NewIRD(tr, w, k)
 		var rel []Released
 		for {
-			r, ok := ird.Next()
+			r, ok, err := ird.NextCtx(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !ok {
 				break
 			}
@@ -324,7 +327,10 @@ func TestIRDPrefixProperty(t *testing.T) {
 	ird := NewIRD(tr, w, k)
 	var rel []Released
 	for i := 0; i < 30; i++ {
-		r, ok := ird.Next()
+		r, ok, err := ird.NextCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !ok {
 			break
 		}
