@@ -10,10 +10,10 @@ import (
 // This file computes the borrow and writer facts behind ordlint's
 // lock-discipline checks (borrowck, lockmode). A *borrow* is a value that
 // aliases packed point storage guarded by a dataset lock — vectors from
-// Collection.Get/Scan/at, the spatial index from Tree(), query result
-// records built from them — and is only valid while that lock is held. A *writer*
-// is a method that mutates receiver-reachable state and therefore needs
-// the write side of the guarding RWMutex.
+// Collection.Get and Tree.Point, the spatial index from Tree(), query
+// result records built from them — and is only valid while that lock is
+// held. A *writer* is a method that mutates receiver-reachable state and
+// therefore needs the write side of the guarding RWMutex.
 //
 // Two directive comments seed the interprocedural fixed point:
 //
@@ -331,9 +331,9 @@ func newBorrowTracker(n *FuncNode, g *CallGraph, facts map[*FuncNode]*BorrowInfo
 	return tr
 }
 
-// seedCallbackParams handles the Scan pattern: a function literal passed
-// to a borrow-returning callee receives borrows through its pointerish
-// parameters, so those parameters start borrow-tainted.
+// seedCallbackParams handles the iterator-callback pattern: a function
+// literal passed to a borrow-returning callee receives borrows through its
+// pointerish parameters, so those parameters start borrow-tainted.
 func (tr *borrowTracker) seedCallbackParams(call *ast.CallExpr) {
 	f, ok := calleeObject(tr.info, call).(*types.Func)
 	if !ok {

@@ -32,11 +32,6 @@ func TestModuleBorrowSweep(t *testing.T) {
 			"Stats":  {},
 			"Tree":   {borrows: true},
 			"Get":    {borrows: true},
-			// IDs and Scan return/emit borrows AND are writers: both may
-			// rebuild the lazy sorted-id cache, so even these "read" paths
-			// need the write side of the serving layer's lock.
-			"IDs":    {borrows: true, writer: true},
-			"Scan":   {borrows: true, writer: true},
 			"Insert": {writer: true},
 			"Update": {writer: true},
 			"Upsert": {writer: true},

@@ -87,9 +87,9 @@ type builder struct {
 }
 
 type loopCtx struct {
-	label     string // enclosing label, "" if none
-	breakTo   *Block
-	contTo    *Block // nil for switch/select (continue passes through)
+	label   string // enclosing label, "" if none
+	breakTo *Block
+	contTo  *Block // nil for switch/select (continue passes through)
 }
 
 type labelInfo struct {

@@ -30,8 +30,8 @@ const (
 	// HandleNode marks tree-node ids: indices into the R-tree's node
 	// arenas (level, count, rseg) and bases of its stride windows.
 	HandleNode HandleClass = 1 << iota
-	// HandleSlot marks packed point-slot indices: indices into the chunk
-	// storage and the idAt arena of the tree and the collection.
+	// HandleSlot marks packed point-slot indices: indices into the tree's
+	// chunk storage and idAt arena.
 	HandleSlot
 	// HandleGen marks generation counter values: reads of a configured
 	// generation field, compared (never subscripted) to detect staleness.

@@ -72,10 +72,8 @@ func TestModuleHandleSweep(t *testing.T) {
 			"CountDominated":   {},
 			"CountDominators":  {},
 		},
-		// The collection: ids are public currency (plain), slots stay
-		// internal; only the annotated writers kill. IDs/Scan are derived
-		// writers (lazy cache rebuild) — deliberately NOT mutates: they
-		// never move slots or reassign node ids.
+		// The collection: ids are public currency (plain) and the slots
+		// stay inside the tree; only the annotated writers kill.
 		modPath + "/internal/collection.Collection": {
 			"Len":    {},
 			"Dim":    {},
@@ -84,8 +82,6 @@ func TestModuleHandleSweep(t *testing.T) {
 			"NewID":  {},
 			"Bounds": {},
 			"Stats":  {},
-			"IDs":    {},
-			"Scan":   {},
 			"Insert": {mutates: true},
 			"Update": {mutates: true},
 			"Upsert": {mutates: true},

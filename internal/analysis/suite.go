@@ -124,14 +124,15 @@ type Config struct {
 //     (construction-immutable) and the dataset constructors yield fresh
 //     unpublished objects;
 //   - the handle layer (handleprov, stridebound, genstale, narrowcast)
-//     covers the flat spatial core and every package that holds its
-//     integer handles — rtree (and the legacy oracle), collection,
-//     skyband, topk, the server (whose generation field is the configured
-//     gen counter), and narrow (the guarded conversion gate). The runs,
-//     capacity fields and stable views mirror the arena layout documented
-//     in internal/rtree: node-indexed level/count/rseg arenas, the
-//     stride-windowed ents/rects runs, slot-indexed chunk storage, and
-//     the free lists as element providers.
+//     covers the flat spatial core, every package that holds its integer
+//     handles — rtree (and the legacy oracle), skyband, topk, the server
+//     (whose generation field is the configured gen counter), and narrow
+//     (the guarded conversion gate) — and collection, whose writers
+//     mutate the tree. The runs, capacity fields and stable views mirror
+//     the arena layout documented in internal/rtree: node-indexed
+//     level/count/rseg arenas, the stride-windowed ents/rects runs, the
+//     slot-indexed chunk storage that holds the one copy of each record,
+//     and the free lists as element providers.
 func DefaultConfig(modulePath string) Config {
 	internal := func(pkgPath string) bool {
 		return strings.HasPrefix(pkgPath, modulePath+"/internal/")
@@ -213,31 +214,26 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/narrow":       true,
 		},
 		HandleRuns: map[string]RunSpec{
-			rt + ".Tree.level":         {Index: HandleNode},
-			rt + ".Tree.count":         {Index: HandleNode},
-			rt + ".Tree.rseg":          {Index: HandleNode, Elem: HandleNode},
-			rt + ".Tree.ents":          {Index: HandleNode, Elem: HandleNode | HandleSlot, Stride: true},
-			rt + ".Tree.rects":         {Index: HandleNode, Stride: true},
-			rt + ".Tree.chunks":        {Index: HandleSlot},
-			rt + ".Tree.idAt":          {Index: HandleSlot},
-			rt + ".Tree.slotOf":        {Elem: HandleSlot},
-			rt + ".Tree.freeNodes":     {Elem: HandleNode},
-			rt + ".Tree.freeSegs":      {Elem: HandleNode},
-			rt + ".Tree.freeSlots":     {Elem: HandleSlot},
-			col + ".Collection.chunks": {Index: HandleSlot},
-			col + ".Collection.idAt":   {Index: HandleSlot},
-			col + ".Collection.slotOf": {Elem: HandleSlot},
-			col + ".Collection.free":   {Elem: HandleSlot},
+			rt + ".Tree.level":     {Index: HandleNode},
+			rt + ".Tree.count":     {Index: HandleNode},
+			rt + ".Tree.rseg":      {Index: HandleNode, Elem: HandleNode},
+			rt + ".Tree.ents":      {Index: HandleNode, Elem: HandleNode | HandleSlot, Stride: true},
+			rt + ".Tree.rects":     {Index: HandleNode, Stride: true},
+			rt + ".Tree.chunks":    {Index: HandleSlot},
+			rt + ".Tree.idAt":      {Index: HandleSlot},
+			rt + ".Tree.slotOf":    {Elem: HandleSlot},
+			rt + ".Tree.freeNodes": {Elem: HandleNode},
+			rt + ".Tree.freeSegs":  {Elem: HandleNode},
+			rt + ".Tree.freeSlots": {Elem: HandleSlot},
 		},
 		HandleTypes: map[string]HandleClass{
 			rt + ".NodeRef": HandleNode,
 		},
 		HandleBoundFields: map[string]bool{
-			rt + ".Tree.dim":        true,
-			rt + ".Tree.fanout":     true,
-			rt + ".Tree.entCap":     true,
-			rt + ".Tree.count":      true,
-			col + ".Collection.dim": true,
+			rt + ".Tree.dim":    true,
+			rt + ".Tree.fanout": true,
+			rt + ".Tree.entCap": true,
+			rt + ".Tree.count":  true,
 		},
 		HandleGenFields: map[string]bool{
 			modulePath + "/internal/server.namedDataset.gen": true,
@@ -256,7 +252,6 @@ func DefaultConfig(modulePath string) Config {
 			rt + ".Tree.Point":      true,
 			rt + ".Tree.slotVec":    true,
 			col + ".Collection.Get": true,
-			col + ".Collection.at":  true,
 			// Stable by construction: the tree pointer itself.
 			col + ".Collection.Tree": true,
 		},

@@ -66,9 +66,8 @@ type Summary struct {
 	PollsCtx  bool
 	MayPanic  bool
 
-	// via records the callee that first set each transitive bit beyond the
+	// BlockVia records the callee that first set MayBlock beyond the
 	// direct sites, for diagnostics ("" when direct).
-	AllocVia string
 	BlockVia string
 }
 
@@ -96,12 +95,12 @@ func ComputeSummaries(g *CallGraph, pkgs []*Package) map[*FuncNode]*Summary {
 					continue
 				case EdgeGo:
 					if c.Allocates && !s.Allocates {
-						s.Allocates, s.AllocVia, changed = true, e.Callee.Name, true
+						s.Allocates, changed = true, true
 					}
 					continue
 				}
 				if c.Allocates && !s.Allocates {
-					s.Allocates, s.AllocVia, changed = true, e.Callee.Name, true
+					s.Allocates, changed = true, true
 				}
 				if c.MayBlock && !s.MayBlock {
 					s.MayBlock, s.BlockVia, changed = true, e.Callee.Name, true

@@ -1,26 +1,18 @@
 // Package collection implements the live-dataset substrate: an id-keyed
-// mutable point collection pairing an ordered id index with the spatial
-// index (internal/rtree, mutated in place through its Insert/Delete) and
-// compact packed point storage, so record coordinates stay contiguous for
-// the dominance kernels even as the collection churns. It supports point
-// Insert, Update, Delete and snapshot iteration, and tracks per-write
-// statistics (count, bounds, dims, write counters) for the serving layer's
-// metrics.
+// mutable point collection over the spatial index (internal/rtree, mutated
+// in place through its Insert/Delete). It supports point Insert, Update and
+// Delete with input checks and sentinel errors, hands out fresh ids, and
+// tracks per-write statistics (count, bounds, dims, write counters) for the
+// serving layer's metrics.
 //
-// Storage layout: coordinates live in fixed-size arena chunks of
-// chunkSlots points each. A record's slot never moves and a chunk is never
-// reallocated, so the vectors handed out to readers (Get/Scan and the
-// dominance kernels) stay valid for the record's lifetime; freed slots are
-// recycled through a free list. The flat R-tree keeps its own packed copy
-// of each inserted point in its leaf slots (its cache-conscious layout
-// wants tree-local contiguity), so the tree does not alias this arena —
-// the collection's copy is the one its borrow contracts cover.
+// Storage: the collection keeps no points of its own. Each record lives
+// once, in the tree's packed slot store, which copies every point it is
+// given; Get returns the tree's view of that slot (Tree.Point).
 //
 // Concurrency contract: a Collection is single-writer. Concurrent readers
-// (queries over Tree(), Get, Scan) are safe only while no mutation is in
-// flight; the serving layer enforces this with a per-dataset RWMutex.
-// Vectors returned by Get/Scan alias the packed storage, and vectors
-// emitted by index scans alias the tree's own packed slots: either way
+// (queries over Tree(), Get) are safe only while no mutation is in flight;
+// the serving layer enforces this with a per-dataset RWMutex. Vectors
+// returned by Get and emitted by index scans alias the tree's packed slots:
 // they stay valid only until the record is deleted (and its slot possibly
 // recycled), so callers retaining them across mutations must copy.
 package collection
@@ -29,17 +21,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"ordu/internal/geom"
 	"ordu/internal/narrow"
 	"ordu/internal/rtree"
 )
-
-// chunkSlots is the number of points per storage chunk. 1024 slots keeps
-// chunks around 32 KiB at d=4 — large enough for contiguous kernel sweeps,
-// small enough that a near-empty collection stays cheap.
-const chunkSlots = 1024
 
 // Sentinel errors of the mutation API.
 var (
@@ -71,60 +57,35 @@ type Collection struct {
 	dim  int
 	tree *rtree.Tree
 
-	// Packed point storage: slot s lives in chunk s/chunkSlots at offset
-	// (s%chunkSlots)*dim. Chunks are allocated once and never reallocated.
-	chunks [][]float64
-	idAt   []int // slot -> id, -1 for free slots
-	slotOf map[int]int
-	free   []int
-
-	// sorted is the ordered id index, rebuilt lazily: mutations invalidate
-	// it and the next Scan/IDs call re-sorts once. This keeps writes
-	// O(log n) (tree insert) instead of O(n) (sorted-slice insertion) while
-	// scans stay deterministic.
-	sorted      []int
-	sortedValid bool
-
 	nextID                    int
 	inserts, updates, deletes uint64
 }
 
 // New returns an empty collection for points of the given dimensionality.
 func New(dim int, opts ...rtree.Option) *Collection {
-	return &Collection{
-		dim:    dim,
-		tree:   rtree.New(dim, opts...),
-		slotOf: make(map[int]int),
-	}
+	return &Collection{dim: dim, tree: rtree.New(dim, opts...)}
 }
 
 // FromPoints bulk-builds a collection over the given points using the
-// R-tree's STR packing; point i receives id i. The points are copied into
-// the packed storage.
+// R-tree's STR packing; point i receives id i. The tree copies the points
+// into its packed slots and keeps none of the input slices.
 func FromPoints(points []geom.Vector, opts ...rtree.Option) (*Collection, error) {
 	if len(points) == 0 {
 		return nil, errors.New("collection: no points")
 	}
-	// The packed chunk storage indexes records with int32 slot handles;
-	// refuse datasets the flat core cannot address instead of letting the
-	// bulk load trip its capacity panic.
+	// The tree's packed slot store indexes records with int32 slot
+	// handles; refuse datasets the flat core cannot address instead of
+	// letting the bulk load trip its capacity panic.
 	if _, err := narrow.Index32(len(points)); err != nil {
 		return nil, fmt.Errorf("collection: %d points: %w", len(points), err)
 	}
-	dim := len(points[0])
-	c := &Collection{
-		dim:    dim,
-		idAt:   make([]int, 0, len(points)),
-		slotOf: make(map[int]int, len(points)),
-	}
-	packed := make([]geom.Vector, len(points))
+	c := &Collection{dim: len(points[0]), nextID: len(points)}
 	for id, p := range points {
 		if err := c.checkPoint(p); err != nil {
 			return nil, fmt.Errorf("point %d: %w", id, err)
 		}
-		packed[id] = c.at(c.allocSlot(id, p))
 	}
-	c.tree = rtree.BulkLoad(packed, opts...)
+	c.tree = rtree.BulkLoad(points, opts...)
 	return c, nil
 }
 
@@ -140,41 +101,8 @@ func (c *Collection) checkPoint(p geom.Vector) error {
 	return nil
 }
 
-// at returns the packed vector of a slot, capacity-capped so appends by a
-// caller can never clobber the neighbouring slot.
-//
-//ordlint:borrows — the vector aliases the packed chunk storage
-func (c *Collection) at(slot int) geom.Vector {
-	lo := (slot % chunkSlots) * c.dim
-	hi := lo + c.dim
-	return geom.Vector(c.chunks[slot/chunkSlots][lo:hi:hi])
-}
-
-// allocSlot copies p into a free (or fresh) slot and indexes it under id.
-func (c *Collection) allocSlot(id int, p geom.Vector) int {
-	var slot int
-	if n := len(c.free); n > 0 {
-		slot = c.free[n-1]
-		c.free = c.free[:n-1]
-		c.idAt[slot] = id
-	} else {
-		slot = len(c.idAt)
-		if slot/chunkSlots == len(c.chunks) {
-			c.chunks = append(c.chunks, make([]float64, chunkSlots*c.dim))
-		}
-		c.idAt = append(c.idAt, id)
-	}
-	copy(c.at(slot), p)
-	c.slotOf[id] = slot
-	if id >= c.nextID {
-		c.nextID = id + 1
-	}
-	c.sortedValid = false
-	return slot
-}
-
 // Len returns the number of live records.
-func (c *Collection) Len() int { return len(c.slotOf) }
+func (c *Collection) Len() int { return c.tree.Len() }
 
 // Dim returns the dimensionality of the collection's points.
 func (c *Collection) Dim() int { return c.dim }
@@ -183,20 +111,14 @@ func (c *Collection) Dim() int { return c.dim }
 // in place by Insert/Update/Delete, so traversals must not run concurrently
 // with mutations (see the package concurrency contract).
 //
-//ordlint:borrows — leaf rectangles alias the packed chunk storage
+//ordlint:borrows — the tree owns the packed slots its views alias
 func (c *Collection) Tree() *rtree.Tree { return c.tree }
 
-// Get returns the point stored under id; the vector aliases the packed
-// storage (copy it to retain across mutations).
+// Get returns the point stored under id; the vector aliases the tree's
+// packed slot (copy it to retain across mutations).
 //
-//ordlint:borrows — the vector aliases the packed chunk storage
-func (c *Collection) Get(id int) (geom.Vector, bool) {
-	slot, ok := c.slotOf[id]
-	if !ok {
-		return nil, false
-	}
-	return c.at(slot), true
-}
+//ordlint:borrows — the vector aliases the tree's packed slot
+func (c *Collection) Get(id int) (geom.Vector, bool) { return c.tree.Point(id) }
 
 // NewID returns an id that is not in use and never was: one past the
 // highest id ever inserted.
@@ -206,45 +128,40 @@ func (c *Collection) NewID() int { return c.nextID }
 // the id is live and with ErrBadPoint on dimension/finiteness violations.
 // The point is copied; the caller keeps ownership of p.
 //
-//ordlint:writer — allocates a slot and mutates the spatial index
+//ordlint:writer — the tree allocates a slot and mutates its index
 func (c *Collection) Insert(id int, p geom.Vector) error {
 	if err := c.checkPoint(p); err != nil {
 		return err
 	}
-	if _, dup := c.slotOf[id]; dup {
+	if _, dup := c.tree.Point(id); dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateID, id)
 	}
-	slot := c.allocSlot(id, p)
-	if err := c.tree.Insert(id, c.at(slot)); err != nil {
-		c.dropSlot(id, slot)
+	if err := c.tree.Insert(id, p); err != nil {
 		return err
+	}
+	if id >= c.nextID {
+		c.nextID = id + 1
 	}
 	c.inserts++
 	return nil
 }
 
 // Update replaces the point stored under a live id. It fails with
-// ErrUnknownID when the id is not present. The spatial index entry is
-// deleted and re-inserted; the packed slot is reused in place.
+// ErrUnknownID when the id is not present. The record is deleted from the
+// tree and inserted again with the new coordinates.
 //
-//ordlint:writer — overwrites packed coordinates and reindexes
+//ordlint:writer — reindexes the record
 func (c *Collection) Update(id int, p geom.Vector) error {
 	if err := c.checkPoint(p); err != nil {
 		return err
 	}
-	slot, ok := c.slotOf[id]
-	if !ok {
+	if _, ok := c.tree.Point(id); !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownID, id)
 	}
-	// Remove the index entry before overwriting the slot: the tree's leaf
-	// rectangles alias the packed coordinates, so the old geometry must
-	// leave the index while it is still intact.
 	if !c.tree.Delete(id) {
 		panic(fmt.Sprintf("collection: id %d in slot index but not in tree", id)) //ordlint:allow nopanic — internal invariant violation, not data-dependent
 	}
-	copy(c.at(slot), p)
-	if err := c.tree.Insert(id, c.at(slot)); err != nil {
-		c.dropSlot(id, slot)
+	if err := c.tree.Insert(id, p); err != nil {
 		return err
 	}
 	c.updates++
@@ -256,7 +173,7 @@ func (c *Collection) Update(id int, p geom.Vector) error {
 //
 //ordlint:writer — delegates to Insert/Update
 func (c *Collection) Upsert(id int, p geom.Vector) (updated bool, err error) {
-	if _, live := c.slotOf[id]; live {
+	if _, live := c.tree.Point(id); live {
 		return true, c.Update(id, p)
 	}
 	return false, c.Insert(id, p)
@@ -266,57 +183,14 @@ func (c *Collection) Upsert(id int, p geom.Vector) (updated bool, err error) {
 //
 //ordlint:writer — unindexes the record and recycles its slot
 func (c *Collection) Delete(id int) bool {
-	slot, ok := c.slotOf[id]
-	if !ok {
+	if _, ok := c.tree.Point(id); !ok {
 		return false
 	}
 	if !c.tree.Delete(id) {
 		panic(fmt.Sprintf("collection: id %d in slot index but not in tree", id)) //ordlint:allow nopanic — internal invariant violation, not data-dependent
 	}
-	c.dropSlot(id, slot)
 	c.deletes++
 	return true
-}
-
-// dropSlot unindexes id and returns its slot to the free list.
-func (c *Collection) dropSlot(id, slot int) {
-	delete(c.slotOf, id)
-	c.idAt[slot] = -1
-	c.free = append(c.free, slot)
-	c.sortedValid = false
-}
-
-// IDs returns the live ids in ascending order. The returned slice is the
-// collection's cached index: treat it as read-only and do not retain it
-// across mutations. Note IDs may rebuild that cache, so even this read
-// path needs the writer side of the serving layer's lock.
-//
-//ordlint:borrows — returns the collection's cached index slice
-func (c *Collection) IDs() []int {
-	if !c.sortedValid {
-		c.sorted = c.sorted[:0]
-		for _, id := range c.idAt {
-			if id >= 0 {
-				c.sorted = append(c.sorted, id)
-			}
-		}
-		sort.Ints(c.sorted)
-		c.sortedValid = true
-	}
-	return c.sorted
-}
-
-// Scan iterates the collection in ascending id order, stopping early when
-// fn returns false. The vectors passed to fn alias the packed storage; fn
-// must not mutate the collection.
-//
-//ordlint:borrows — vectors handed to fn alias the packed chunk storage
-func (c *Collection) Scan(fn func(id int, p geom.Vector) bool) {
-	for _, id := range c.IDs() {
-		if !fn(id, c.at(c.slotOf[id])) {
-			return
-		}
-	}
 }
 
 // Bounds returns the exact per-dimension bounds of the current contents,

@@ -102,37 +102,6 @@ func TestUpsert(t *testing.T) {
 	}
 }
 
-func TestScanOrderAndSnapshot(t *testing.T) {
-	c := New(2)
-	for _, id := range []int{5, 1, 9, 3} {
-		mustInsert(t, c, id, geom.Vector{float64(id) / 10, 0.5})
-	}
-	c.Delete(9)
-	var got []int
-	c.Scan(func(id int, p geom.Vector) bool {
-		if p[0] != float64(id)/10 {
-			t.Fatalf("Scan delivered wrong point for id %d: %v", id, p)
-		}
-		got = append(got, id)
-		return true
-	})
-	want := []int{1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("Scan ids = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("Scan ids = %v, want %v", got, want)
-		}
-	}
-	// Early stop.
-	n := 0
-	c.Scan(func(int, geom.Vector) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Fatalf("early-stopped Scan visited %d ids, want 2", n)
-	}
-}
-
 func TestBoundsTrackMutations(t *testing.T) {
 	c := New(2)
 	if _, ok := c.Bounds(); ok {
@@ -184,31 +153,46 @@ func TestFromPointsMatchesIncremental(t *testing.T) {
 	}
 }
 
-// TestChurnAcrossChunks drives enough inserts and deletes to span multiple
-// storage chunks and recycle slots, checking that packed vectors, the tree
-// and the id index never diverge.
+// TestChurnAcrossChunks drives enough inserts, updates and deletes to span
+// more than one chunk of the tree's slot store and recycle slots, checking
+// that the tree's packed vectors and its id index never diverge from a
+// reference map.
 func TestChurnAcrossChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	c := New(2, rtree.WithFanout(8))
 	ref := map[int]geom.Vector{}
-	nextID := 0
-	for op := 0; op < 4*chunkSlots; op++ {
-		if rng.Intn(4) == 0 && len(ref) > 0 {
-			var victim int
-			for id := range ref {
-				victim = id
-				break
-			}
+	var live []int // the ids of ref, for seeded picks
+	nextID, updates := 0, 0
+	// 4 * 1024 operations: four chunks' worth of the tree's pointChunk.
+	for op := 0; op < 4*1024; op++ {
+		switch r := rng.Intn(8); {
+		case r < 2 && len(live) > 0:
+			i := rng.Intn(len(live))
+			victim := live[i]
 			if !c.Delete(victim) {
 				t.Fatalf("op %d: Delete(%d) missing", op, victim)
 			}
 			delete(ref, victim)
-		} else {
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+		case r == 2 && len(live) > 0:
+			id := live[rng.Intn(len(live))]
+			p := geom.Vector{rng.Float64(), rng.Float64()}
+			if err := c.Update(id, p); err != nil {
+				t.Fatalf("op %d: Update(%d): %v", op, id, err)
+			}
+			ref[id] = p.Clone()
+			updates++
+		default:
 			p := geom.Vector{rng.Float64(), rng.Float64()}
 			mustInsert(t, c, nextID, p)
 			ref[nextID] = p.Clone()
+			live = append(live, nextID)
 			nextID++
 		}
+	}
+	if len(ref) <= 1024 {
+		t.Fatalf("churn ended with %d live records; it must outgrow one slot chunk", len(ref))
 	}
 	if c.Len() != len(ref) {
 		t.Fatalf("Len = %d, want %d", c.Len(), len(ref))
@@ -227,7 +211,7 @@ func TestChurnAcrossChunks(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Count != len(ref) || int(st.Inserts)-int(st.Deletes) != len(ref) {
+	if st.Count != len(ref) || int(st.Inserts)-int(st.Deletes) != len(ref) || int(st.Updates) != updates {
 		t.Fatalf("stats inconsistent: %+v vs %d live", st, len(ref))
 	}
 }

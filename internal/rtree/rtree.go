@@ -19,9 +19,10 @@
 //
 // Slot stability: a record's packed slot never moves and a chunk is never
 // reallocated, so vectors handed out by LeafPoint/Point stay valid for the
-// record's lifetime even as the tree churns (the same contract
-// internal/collection exposes). Rectangle views returned by
-// ChildLo/ChildHi alias the rect arena and are invalidated by mutations.
+// record's lifetime even as the tree churns. The slots hold the only copy
+// of each record: internal/collection stores no points and hands out these
+// views. Rectangle views returned by ChildLo/ChildHi alias the rect arena
+// and are invalidated by mutations.
 package rtree
 
 import (

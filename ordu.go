@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"ordu/internal/collection"
 	"ordu/internal/core"
@@ -55,7 +56,7 @@ type Dataset struct {
 
 // tree returns the backing spatial index.
 //
-//ordlint:borrows — the tree's leaf rectangles alias the packed storage
+//ordlint:borrows — the tree owns the packed slots its views alias
 func (ds *Dataset) tree() *rtree.Tree { return ds.col.Tree() }
 
 // Result is one record returned by a query.
@@ -125,8 +126,10 @@ func NewDataset(records [][]float64) (*Dataset, error) {
 				return nil, fmt.Errorf("ordu: record %d attribute %d is not finite", i, j)
 			}
 		}
-		pts[i] = geom.Vector(r).Clone()
+		pts[i] = r
 	}
+	// The tree copies every point into its packed slots, so the dataset
+	// keeps no reference to the caller's records.
 	col, err := collection.FromPoints(pts)
 	if err != nil {
 		return nil, fmt.Errorf("ordu: %w", err)
@@ -141,7 +144,7 @@ func (ds *Dataset) Len() int { return ds.col.Len() }
 func (ds *Dataset) Dim() int { return ds.col.Dim() }
 
 // Record returns the attributes of a record by id. The slice aliases the
-// dataset's packed storage: copy it to retain across mutations.
+// R-tree's packed slot: copy it to retain across mutations.
 //
 //ordlint:borrows — the slice aliases the packed storage
 func (ds *Dataset) Record(id int) ([]float64, bool) {
@@ -392,22 +395,15 @@ func (ds *Dataset) Filter(min, max []float64) (*Dataset, []int, error) {
 	if len(min) != ds.Dim() || len(max) != ds.Dim() {
 		return nil, nil, fmt.Errorf("ordu: bounds have dims %d/%d, want %d", len(min), len(max), ds.Dim())
 	}
-	var records [][]float64
-	var mapping []int
-	// Scan iterates in ascending id order, so the sub-dataset's fresh ids
-	// are deterministic without a post-hoc sort.
-	ds.col.Scan(func(id int, p geom.Vector) bool {
-		for j := range p {
-			if p[j] < min[j] || p[j] > max[j] {
-				return true
-			}
-		}
-		records = append(records, p)
-		mapping = append(mapping, id)
-		return true
-	})
-	if len(records) == 0 {
+	mapping := ds.tree().RangeQuery(geom.Rect{Lo: min, Hi: max})
+	if len(mapping) == 0 {
 		return nil, nil, errors.New("ordu: no records satisfy the range predicate")
+	}
+	// Ascending ids make the sub-dataset's fresh ids deterministic.
+	sort.Ints(mapping)
+	records := make([][]float64, len(mapping))
+	for i, id := range mapping {
+		records[i], _ = ds.col.Get(id)
 	}
 	sub, err := NewDataset(records)
 	if err != nil {

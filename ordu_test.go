@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -61,13 +62,41 @@ func TestNewDatasetValidation(t *testing.T) {
 	}
 }
 
+// TestDatasetDoesNotAliasInput overwrites every caller record after
+// NewDataset: the dataset's records and its ORD answer must not move.
 func TestDatasetDoesNotAliasInput(t *testing.T) {
-	recs := [][]float64{{0.1, 0.9}, {0.8, 0.2}}
-	ds, _ := NewDataset(recs)
-	recs[0][0] = 999
-	r, _ := ds.Record(0)
-	if r[0] == 999 {
-		t.Fatal("dataset aliases caller memory")
+	recs := randRecords(rand.New(rand.NewSource(23)), 300, 3)
+	want := make([][]float64, len(recs))
+	for i, r := range recs {
+		want[i] = append([]float64(nil), r...)
+	}
+	ds, err := NewDataset(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	w := []float64{0.5, 0.3, 0.2}
+	before, err := ds.ORDCtx(ctx, w, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		for j := range r {
+			r[j] = 1 - r[j]
+		}
+		recs[i] = nil
+	}
+	for id, r := range want {
+		if got, ok := ds.Record(id); !ok || !reflect.DeepEqual(got, r) {
+			t.Fatalf("Record(%d) = %v, %v after the caller overwrote it; want %v", id, got, ok, r)
+		}
+	}
+	after, err := ds.ORDCtx(ctx, w, 2, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("ORD answer moved after the caller overwrote its records:\n%+v\n%+v", before, after)
 	}
 }
 
