@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/lp -fuzz FuzzSimplexLP -fuzztime 30s
 	$(GO) test ./internal/rtree -fuzz FuzzFlatTreeMutations -fuzztime 30s
 	$(GO) test ./internal/skyband -fuzz FuzzIRD -fuzztime 30s
+	$(GO) test ./internal/core -fuzz FuzzORD -fuzztime 30s
 
 # Start the query server on :8375 with a generated demo dataset.
 serve:

@@ -26,7 +26,9 @@ type Record struct {
 type Stats struct {
 	// Fetched counts records fetched from the index (candidates examined).
 	Fetched int
-	// HeapPops counts branch-and-bound heap pops (node accesses).
+	// HeapPops counts branch-and-bound heap pops (node accesses). The scan
+	// tests each child before pushing it, and an entry rejected there is
+	// never pushed or popped, so it is not counted.
 	HeapPops int
 	// RegionsPartitioned counts Theorem-1 partitionings (ORU only): those
 	// the best-first order reaches before the answer is complete, whatever

@@ -65,6 +65,40 @@ func TestMindistWSFastPathNoAllocs(t *testing.T) {
 	}
 }
 
+// TestMindistAtLeastNoAllocs covers both paths of the threshold test: the
+// closed form settles a foot inside the simplex on a cold workspace, and a
+// foot outside it with rho above the bound runs the exact projection, which
+// allocates nothing once the workspace is warm.
+func TestMindistAtLeastNoAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are inflated under the race detector")
+	}
+	w := geom.Vector{0.4, 0.3, 0.3}
+	ri := geom.Vector{0.5, 0.5, 0.2}
+	rj := geom.Vector{0.6, 0.4, 0.3}
+	var ws Workspace
+	md := MindistWS(w, ri, rj, &ws)
+	avg := testing.AllocsPerRun(100, func() {
+		mindistAtLeast(w, ri, rj, md, &ws)
+		mindistAtLeast(w, ri, rj, 2*md, &ws)
+	})
+	if avg != 0 || ws.a != nil {
+		t.Fatalf("closed-form mindistAtLeast allocates %.1f times per call (projection buffer %v), want 0", avg, ws.a)
+	}
+
+	w, ri, rj = qpFallbackInput()
+	md = MindistWS(w, ri, rj, &ws) // warm-up
+	if ws.a == nil {
+		t.Fatal("input did not reach the projection; the zero-alloc assertion below would be vacuous")
+	}
+	avg = testing.AllocsPerRun(100, func() {
+		mindistAtLeast(w, ri, rj, md, &ws)
+	})
+	if avg != 0 {
+		t.Fatalf("warmed mindistAtLeast allocates %.1f times per call through the projection, want 0", avg)
+	}
+}
+
 // TestMindistWSMatchesMindist checks that the workspace form returns
 // bit-identical results to the allocating form on both paths.
 func TestMindistWSMatchesMindist(t *testing.T) {

@@ -104,8 +104,8 @@ func TestScannerObserverHooks(t *testing.T) {
 	w := geom.Vector{0.5, 0.5}
 	sc := NewScanner(tr, w)
 	pushed, popped := 0, 0
-	sc.onPush = func(e *scanEntry) { pushed++ }
-	sc.onPop = func(e *scanEntry) { popped++ }
+	sc.onPush = func(uint64, geom.Vector) { pushed++ }
+	sc.onPop = func(uint64) { popped++ }
 	for {
 		if _, _, ok := sc.Next(nil); !ok {
 			break

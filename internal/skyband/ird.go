@@ -21,7 +21,10 @@ import (
 // inflection radius against T is exact on arrival. Records are released
 // once their inflection radius is no larger than a lower bound rho_ on the
 // inflection radius of anything not yet fetched: the minimum, over the BBS
-// heap contents (set S), of each entry's inflection radius against T.
+// heap contents (set S), of each entry's inflection radius against T. A
+// child the scan's k-skyband pruner rejects before pushing it is dominated
+// by k records of T, so its radius is +Inf and leaving it out of S changes
+// no bound.
 //
 // Each entry's radius is kept exact against a prefix T[:tVersion] of the
 // fetched records, which is a valid lower bound because T only grows. An
@@ -92,22 +95,22 @@ func NewIRD(tree *rtree.Tree, w geom.Vector, k int) *IRD {
 		live: make(map[uint64]*boundEntry),
 	}
 	ird.sc = NewScanner(tree, w)
-	ird.sc.onPush = func(e *scanEntry) {
+	ird.sc.onPush = func(seq uint64, pt geom.Vector) {
 		if len(ird.slab) < k {
 			ird.slab = make([]float64, 256*k)
 		}
-		be := &boundEntry{pt: e.pt, top: ird.slab[:0:k]}
+		be := &boundEntry{pt: pt, top: ird.slab[:0:k]}
 		ird.slab = ird.slab[k:]
-		ird.live[e.seq] = be
+		ird.live[seq] = be
 		ird.bounds.Push(be)
 	}
-	ird.sc.onPop = func(e *scanEntry) {
+	ird.sc.onPop = func(seq uint64) {
 		// The root is pushed before the hooks are set and has no entry; it
 		// is a node, so fetch never reads it as popped.
-		ird.popped = ird.live[e.seq]
+		ird.popped = ird.live[seq]
 		if ird.popped != nil {
 			ird.popped.dead = true
-			delete(ird.live, e.seq)
+			delete(ird.live, seq)
 		}
 	}
 	return ird

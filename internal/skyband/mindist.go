@@ -25,6 +25,22 @@ type Workspace struct {
 	fr []bool    // active-set projection: free-coordinate mask
 }
 
+// Tolerances of the closed-form pass shared by MindistWS and
+// mindistAtLeast, for records of unit-scale coordinates.
+const (
+	// parallelTol bounds |a - mean(a)*1|^2, the squared part of a = ri - rj
+	// off the all-ones vector: below it (a part under 1e-9) the score gap
+	// a.v counts as one constant on the whole simplex.
+	parallelTol = 1e-18
+	// zeroGapTol bounds that constant gap: a few ulps of a unit-scale score
+	// are a rounding-level tie, not a win.
+	zeroGapTol = 1e-15
+	// footSlack is how far below zero a coordinate of the closed-form foot
+	// may round and still count as inside the simplex: rounding noise of the
+	// O(d) pass, two orders below package qp's 1e-10 feasibility tolerance.
+	footSlack = 1e-12
+)
+
 // Mindist returns rho_{i,j}: the largest radius at which rj still
 // rho-dominates ri around the seed w, i.e. the minimum distance from w to
 // the intersection of the score-tie hyperplane U_v(ri) = U_v(rj) with the
@@ -50,6 +66,32 @@ func Mindist(w, ri, rj geom.Vector) float64 {
 //
 //ordlint:noalloc
 func MindistWS(w, ri, rj geom.Vector, ws *Workspace) float64 {
+	return mindistBound(w, ri, rj, noBound, ws)
+}
+
+// noBound is +Inf: no closed-form bound reaches it, so mindistBound
+// returns the exact mindist. A variable rather than a math.Inf call keeps
+// MindistWS inlinable.
+var noBound = math.Inf(1)
+
+// mindistAtLeast reports MindistWS(w, ri, rj, ws) >= rho, the adaptive
+// rho-dominance test, without the exact projection whenever the closed
+// form settles it: the distance from w to the tie hyperplane within
+// sum(v) = 1 is a lower bound on the mindist (the simplex-constrained set
+// is a subset of that hyperplane) and equals it when the foot is inside.
+//
+//ordlint:noalloc
+func mindistAtLeast(w, ri, rj geom.Vector, rho float64, ws *Workspace) bool {
+	return mindistBound(w, ri, rj, rho, ws) >= rho
+}
+
+// mindistBound returns rho_{i,j}, except that once the closed-form lower
+// bound reaches rho it returns that bound (so the result is >= rho exactly
+// when the mindist is). MindistWS passes rho = +Inf and always gets the
+// mindist itself.
+//
+//ordlint:noalloc
+func mindistBound(w, ri, rj geom.Vector, rho float64, ws *Workspace) float64 {
 	d := len(w)
 	// Single allocation-free pass: dominance check, hyperplane coefficient
 	// aggregates (a = ri - rj), and a.w.
@@ -72,24 +114,27 @@ func MindistWS(w, ri, rj geom.Vector, ws *Workspace) float64 {
 	// Project a onto the simplex's supporting hyperplane sum(v)=1.
 	mean := asum / float64(d)
 	proj2 := a2 - asum*mean
-	if proj2 < 1e-18 {
+	if proj2 < parallelTol {
 		// a is (numerically) parallel to the all-ones vector: the score gap
 		// is constant over the whole domain.
-		if math.Abs(aw) < 1e-15 {
+		if math.Abs(aw) < zeroGapTol {
 			return 0 // identical scores everywhere; degenerate tie
 		}
 		return math.Inf(1)
+	}
+	dist := math.Abs(aw) / math.Sqrt(proj2)
+	if dist >= rho {
+		return dist
 	}
 	// Foot of the perpendicular: v* = w - (aw/proj2) * (a - mean*1).
 	alpha := aw / proj2
 	feasible := true
 	for i := 0; i < d; i++ {
-		if w[i]-alpha*(ri[i]-rj[i]-mean) < -1e-12 {
+		if w[i]-alpha*(ri[i]-rj[i]-mean) < -footSlack {
 			feasible = false
 			break
 		}
 	}
-	dist := math.Abs(aw) / math.Sqrt(proj2)
 	if feasible {
 		return dist
 	}

@@ -71,13 +71,15 @@ func (r *RhoPruner) Add(p geom.Vector) { r.recs = append(r.recs, p) }
 // Prune reports whether p is rho-dominated at radius Rho by at least K
 // registered records. All registered records score at least as high as p
 // for W by the scan's visiting order, so each contributes an interval
-// [0, mindist]; p is prunable when at least K intervals cover Rho.
+// [0, mindist]; p is prunable when at least K intervals cover Rho. Each
+// test asks only whether the mindist reaches Rho, which the closed form
+// usually settles without the exact projection.
 func (r *RhoPruner) Prune(p geom.Vector) bool {
 	count := 0
 	for _, rec := range r.recs {
 		if rec.Dominates(p) {
 			count++
-		} else if !math.IsInf(r.Rho, 1) && MindistWS(r.W, p, rec, &r.ws) >= r.Rho {
+		} else if !math.IsInf(r.Rho, 1) && mindistAtLeast(r.W, p, rec, r.Rho, &r.ws) {
 			count++
 		}
 		if count >= r.K {

@@ -10,6 +10,12 @@ import (
 // an index node, which score-bounds its whole subtree) can be excluded from
 // a progressive scan. BBS's correctness requires only that a pruned point
 // could never belong to the result, given the records emitted so far.
+//
+// Scanner.Next tests an entry when it would push it and again when it pops
+// it, as BBS does, so a pruner must be monotone: once it prunes a point it
+// prunes it for the rest of the scan (registering records and shrinking a
+// radius only ever prune more). An entry rejected at push is gone for
+// good, so one scan must be driven by one pruner throughout.
 type Pruner interface {
 	Prune(p geom.Vector) bool
 }
@@ -67,9 +73,10 @@ type Scanner struct {
 	visited int // heap pops, for instrumentation
 
 	// Observers, used by IRD to maintain lower-bound inflection radii for
-	// the not-yet-considered part of the dataset (set S in the paper).
-	onPush func(e *scanEntry)
-	onPop  func(e *scanEntry)
+	// the not-yet-considered part of the dataset (set S in the paper). They
+	// take the entry's fields by value, so no entry escapes to the heap.
+	onPush func(seq uint64, pt geom.Vector)
+	onPop  func(seq uint64)
 }
 
 // NewScanner starts a scan of tree in decreasing score order for w.
@@ -87,7 +94,7 @@ func (s *Scanner) push(e scanEntry) {
 	s.seq++
 	s.h.Push(e)
 	if s.onPush != nil {
-		s.onPush(&e)
+		s.onPush(e.seq, e.pt)
 	}
 }
 
@@ -101,15 +108,20 @@ func (s *Scanner) pushRecord(id int, p geom.Vector) {
 
 // Next returns the next surviving record in decreasing score order. The
 // pruner may be nil, in which case every record is emitted (that is BBR's
-// ranked retrieval). ok is false when the scan is exhausted. The returned
-// point aliases the tree's storage (no copy is made); it stays valid for
-// the lifetime of the tree and must be copied if retained beyond it.
+// ranked retrieval). Every registered record was emitted before an
+// expanded node was popped, so it outscores the node's children: Next
+// tests each child with the pruner and pushes only the survivors, then
+// tests each entry again when popping it, since the pruner may have grown
+// stronger meanwhile. Pass the same pruner on every call of one scan (see
+// Pruner). ok is false when the scan is exhausted. The returned point
+// aliases the tree's storage (no copy is made); it stays valid for the
+// lifetime of the tree and must be copied if retained beyond it.
 func (s *Scanner) Next(pruner Pruner) (id int, p geom.Vector, ok bool) {
 	for s.h.Len() > 0 {
 		e := s.h.Pop()
 		s.visited++
 		if s.onPop != nil {
-			s.onPop(&e)
+			s.onPop(e.seq)
 		}
 		if pruner != nil && pruner.Prune(e.pt) {
 			continue
@@ -121,11 +133,15 @@ func (s *Scanner) Next(pruner Pruner) (id int, p geom.Vector, ok bool) {
 		cnt := t.Count(e.node)
 		if t.Level(e.node) == 0 {
 			for i := 0; i < cnt; i++ {
-				s.pushRecord(t.LeafID(e.node, i), t.LeafPoint(e.node, i))
+				if pt := t.LeafPoint(e.node, i); pruner == nil || !pruner.Prune(pt) {
+					s.pushRecord(t.LeafID(e.node, i), pt)
+				}
 			}
 		} else {
 			for i := 0; i < cnt; i++ {
-				s.pushNode(t.Child(e.node, i), t.ChildHi(e.node, i))
+				if top := t.ChildHi(e.node, i); pruner == nil || !pruner.Prune(top) {
+					s.pushNode(t.Child(e.node, i), top)
+				}
 			}
 		}
 	}
@@ -133,7 +149,8 @@ func (s *Scanner) Next(pruner Pruner) (id int, p geom.Vector, ok bool) {
 }
 
 // Visited returns the number of heap pops performed, a proxy for I/O in
-// the paper's disk-based analysis.
+// the paper's disk-based analysis. Entries the pruner rejects at push are
+// never pushed, so they are not counted.
 func (s *Scanner) Visited() int { return s.visited }
 
 // Exhausted reports whether the scan has no remaining entries.

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"ordu/internal/data"
 	"ordu/internal/geom"
 	"ordu/internal/rtree"
 )
@@ -169,6 +170,80 @@ func TestMindistHandComputed(t *testing.T) {
 	want := w.Dist(geom.Vector{0.5, 0.5})
 	if got := Mindist(w, ri, rj); math.Abs(got-want) > 1e-9 {
 		t.Errorf("Mindist = %g, want %g", got, want)
+	}
+}
+
+// TestMindistAtLeastMatchesMindistWS: the threshold test answers exactly
+// MindistWS(...) >= rho at rho equal to the computed mindist, one ulp
+// either side of it, half and twice it. The pairs are random IND and ANTI
+// records in score order at d = 2-8, outright dominance, exact duplicates,
+// near-duplicates whose difference is parallel to the all-ones vector at
+// 1e-10 and at 1 ulp, and qpFallbackInput. A fresh workspace shows which
+// path ran (its projection buffer stays nil until the projection runs), so
+// the test also requires pairs whose foot lies inside the simplex, pairs
+// whose foot lies outside that the closed-form bound settles, and pairs
+// that need the projection.
+func TestMindistAtLeastMatchesMindistWS(t *testing.T) {
+	type pair struct{ w, ri, rj geom.Vector }
+	rng := rand.New(rand.NewSource(146))
+	var pairs []pair
+	for d := 2; d <= 8; d++ {
+		for _, pts := range [][]geom.Vector{randPoints(rng, 80, d), data.Synthetic(data.ANTI, 80, d, rng.Int63())} {
+			for i := 0; i+1 < len(pts); i += 2 {
+				w := geom.RandSimplex(rng, d)
+				ri, rj := pts[i], pts[i+1]
+				if rj.Dot(w) < ri.Dot(w) {
+					ri, rj = rj, ri
+				}
+				dom := append(geom.Vector(nil), ri...)
+				dom[rng.Intn(d)] += 0.1
+				dup := append(geom.Vector(nil), ri...)
+				pairs = append(pairs, pair{w, ri, rj}, pair{w, ri, dom}, pair{w, ri, dup})
+				for _, eps := range []float64{1e-10, 0} {
+					near := append(geom.Vector(nil), ri...)
+					if eps > 0 {
+						near[0] += eps
+						near[1] -= eps
+					} else {
+						near[0] = math.Nextafter(near[0], 2)
+						near[1] = math.Nextafter(near[1], -1)
+					}
+					if near.Dot(w) < ri.Dot(w) {
+						pairs = append(pairs, pair{w, near, ri})
+					} else {
+						pairs = append(pairs, pair{w, ri, near})
+					}
+				}
+			}
+		}
+	}
+	w, ri, rj := qpFallbackInput()
+	pairs = append(pairs, pair{w, ri, rj})
+
+	var inside, bounded, projected int
+	for n, p := range pairs {
+		var ws Workspace
+		md := MindistWS(p.w, p.ri, p.rj, &ws)
+		footOutside := ws.a != nil
+		for _, rho := range []float64{md, math.Nextafter(md, math.Inf(1)), math.Nextafter(md, math.Inf(-1)), 0.5 * md, 2 * md} {
+			var fresh Workspace
+			got := mindistAtLeast(p.w, p.ri, p.rj, rho, &fresh)
+			if want := md >= rho; got != want {
+				t.Fatalf("pair %d (w=%v ri=%v rj=%v): mindistAtLeast(rho=%v) = %v, MindistWS = %v", n, p.w, p.ri, p.rj, rho, got, md)
+			}
+			switch {
+			case !footOutside:
+				inside++
+			case fresh.a == nil:
+				bounded++
+			default:
+				projected++
+			}
+		}
+	}
+	t.Logf("%d pairs, %d tests: foot inside %d, outside settled by the bound %d, projected %d", len(pairs), inside+bounded+projected, inside, bounded, projected)
+	if inside == 0 || bounded == 0 || projected == 0 {
+		t.Fatalf("paths not all covered: foot inside %d, outside settled by the bound %d, projected %d", inside, bounded, projected)
 	}
 }
 
