@@ -7,18 +7,17 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Project-specific static analysis, all seventeen checks: the syntactic
+# Project-specific static analysis, all twelve checks: the syntactic
 # suite (floatcmp, senterr, nopanic, printguard), the CFG/dataflow suite
-# (wsescape, poolpair, noalloc), the interprocedural suite (ctxflow,
-# deepnoalloc, lockhold, maporder, borrowck, lockmode), and the handle
-# suite (handleprov, stridebound, genstale, narrowcast); exits non-zero on
-# any finding. This target is the single lint invocation: `make test` and
-# CI both go through it.
+# (wsescape, poolpair, narrowcast) and the interprocedural suite (ctxflow,
+# noalloc, maporder, borrowck, lockmode); exits non-zero on any finding.
+# This target is the single lint invocation: `make test` and CI both go
+# through it.
 lint:
 	$(GO) run ./cmd/ordlint ./...
 
 # Lint wall-time budget: the suite must finish within LINT_BUDGET seconds.
-# The full 17-check run takes ~5s locally (dominated by type-checking the
+# The full 12-check run takes ~5s locally (dominated by type-checking the
 # stdlib closure from source); the default budget is ~4x that plus headroom
 # for slower CI runners. A blown budget means a check went super-linear —
 # catch it here, not by watching CI get slower release by release.

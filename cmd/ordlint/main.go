@@ -38,10 +38,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ordlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	checks := fs.String("check", "", "comma-separated subset of checks to run (default: all)")
-	fs.StringVar(checks, "checks", "", "alias for -check")
 	list := fs.Bool("list", false, "list the available checks and exit")
 	asJSON := fs.Bool("json", false, "emit findings as NDJSON (one object per line) instead of file:line text")
-	stats := fs.Bool("stats", false, "emit interprocedural statistics as NDJSON (call-graph size, summary counts, handle-layer totals, entry-unreachable functions) instead of findings")
+	stats := fs.Bool("stats", false, "emit interprocedural statistics as NDJSON (call-graph size, summary counts, entry-unreachable functions) instead of findings")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -144,12 +143,10 @@ type jsonFinding struct {
 }
 
 // emitStats writes the interprocedural layer's statistics as NDJSON: one
-// "graph" record, one "summaries" record with aggregate counts, one
-// "handles" record with the handle layer's provenance totals (classed
-// returns per class, mutators, bounded contracts), and one "unreachable"
-// record per function no configured entry point reaches — the input for
-// dead-weight review and for tracking the server cone's growth over time
-// in CI artifacts.
+// "graph" record, one "summaries" record with aggregate counts, and one
+// "unreachable" record per function no configured entry point reaches —
+// the input for dead-weight review and for tracking the server cone's
+// growth over time in CI artifacts.
 func emitStats(w io.Writer, cfg analysis.Config, pkgs []*analysis.Package) error {
 	g := analysis.BuildCallGraph(pkgs)
 	sums := analysis.ComputeSummaries(g, pkgs)
@@ -190,45 +187,6 @@ func emitStats(w io.Writer, cfg analysis.Config, pkgs []*analysis.Package) error
 		"may_block": counts["may_block"],
 		"polls_ctx": counts["polls_ctx"],
 		"may_panic": counts["may_panic"],
-	}); err != nil {
-		return err
-	}
-
-	// Handle layer: one aggregate record over the arena-handle facts, so a
-	// new handle-returning API, mutator, or bounded contract shows up in
-	// the CI artifact diff.
-	borrows := analysis.ComputeBorrowFacts(g, cfg.FreshFuncs)
-	handles := analysis.ComputeHandleFacts(g, borrows, analysis.NewHandleConfig(cfg))
-	nodeRets, slotRets, genRets, annotated, mutators, bounded := 0, 0, 0, 0, 0, 0
-	for _, hi := range handles {
-		if hi.Ret&analysis.HandleNode != 0 {
-			nodeRets++
-		}
-		if hi.Ret&analysis.HandleSlot != 0 {
-			slotRets++
-		}
-		if hi.Ret&analysis.HandleGen != 0 {
-			genRets++
-		}
-		if hi.RetAnnotated {
-			annotated++
-		}
-		if hi.Mutates {
-			mutators++
-		}
-		if hi.Bounded {
-			bounded++
-		}
-	}
-	if err := enc.Encode(map[string]interface{}{
-		"kind":          "handles",
-		"functions":     len(handles),
-		"node_returns":  nodeRets,
-		"slot_returns":  slotRets,
-		"gen_returns":   genRets,
-		"ret_annotated": annotated,
-		"mutators":      mutators,
-		"bounded":       bounded,
 	}); err != nil {
 		return err
 	}

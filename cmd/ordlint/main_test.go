@@ -117,14 +117,12 @@ func TestReadmeCheckTable(t *testing.T) {
 	}
 }
 
-// TestUnknownCheck pins the exit code and message for a bogus check name,
-// through both the -check spelling and its -checks alias. An unknown name
-// mixed with valid ones must still fail: a typo silently dropping a check
-// would leave CI green with the check off.
+// TestUnknownCheck pins the exit code and message for a bogus check name.
+// An unknown name mixed with valid ones must still fail: a typo silently
+// dropping a check would leave CI green with the check off.
 func TestUnknownCheck(t *testing.T) {
 	for _, args := range [][]string{
 		{"-check", "bogus"},
-		{"-checks", "bogus"},
 		{"-check", "floatcmp,bogus,lockmode"},
 	} {
 		var out, errw bytes.Buffer
@@ -178,7 +176,7 @@ func TestStatsNDJSON(t *testing.T) {
 	if code := run([]string{"-stats", "./internal/linalg"}, &out, &errw); code != 0 {
 		t.Fatalf("run(-stats) = %d, stderr: %s", code, errw.String())
 	}
-	var graphs, summaries, handles, unreachable int
+	var graphs, summaries, unreachable int
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		var rec map[string]interface{}
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
@@ -195,16 +193,6 @@ func TestStatsNDJSON(t *testing.T) {
 			if n, _ := rec["functions"].(float64); n < 1 {
 				t.Errorf("summaries record reports %v functions", rec["functions"])
 			}
-		case "handles":
-			handles++
-			if n, _ := rec["functions"].(float64); n < 1 {
-				t.Errorf("handles record reports %v functions", rec["functions"])
-			}
-			// linalg is outside the flat core: its functions return no
-			// classed handles and mutate no handle-owning structure.
-			if n, _ := rec["mutators"].(float64); n != 0 {
-				t.Errorf("handles record reports %v mutators in linalg", rec["mutators"])
-			}
 		case "unreachable":
 			unreachable++
 			if name, _ := rec["func"].(string); !strings.Contains(name, "linalg.") {
@@ -214,9 +202,8 @@ func TestStatsNDJSON(t *testing.T) {
 			t.Errorf("unexpected record kind %v", rec["kind"])
 		}
 	}
-	if graphs != 1 || summaries != 1 || handles != 1 {
-		t.Errorf("got %d graph, %d summaries, %d handles records, want 1 each",
-			graphs, summaries, handles)
+	if graphs != 1 || summaries != 1 {
+		t.Errorf("got %d graph, %d summaries records, want 1 each", graphs, summaries)
 	}
 	if unreachable == 0 {
 		t.Error("no unreachable records: linalg is outside the server entry cone")

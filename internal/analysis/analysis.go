@@ -3,9 +3,9 @@
 // and runs a suite of project-specific analyzers enforcing invariants the
 // compiler cannot see — numeric-comparison discipline near region
 // boundaries, the cooperative-cancellation contract of request-reachable
-// loops, sentinel-error hygiene, workspace and borrow lifetimes, lock
-// discipline, arena-handle provenance, and library-package
-// output/termination rules.
+// loops, sentinel-error hygiene, workspace and borrow lifetimes,
+// allocation-free kernels, lock discipline, guarded narrowing into the
+// flat core's int32 handles, and library-package output/termination rules.
 //
 // A finding can be suppressed with an escape comment on (or immediately
 // above) the offending line:
@@ -64,10 +64,9 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	// Layer places the check in the suite's architecture: "syntactic"
-	// (single-file AST walks), "cfg" (intraprocedural dataflow),
-	// "interproc" (call-graph + summaries) or "handle" (arena-handle
-	// provenance). cmd/ordlint -list prints it and the README table test
-	// keeps the docs in sync with it.
+	// (single-file AST walks), "cfg" (intraprocedural dataflow) or
+	// "interproc" (call-graph + summaries). cmd/ordlint -list prints it and
+	// the README table test keeps the docs in sync with it.
 	Layer string
 	Run   func(*Pass)
 }
@@ -81,10 +80,6 @@ type Suite struct {
 	// derivation stops at them, since the borrows they assemble alias
 	// storage the returned object itself owns.
 	fresh map[string]bool
-
-	// handle scopes the handle layer's fact computation (nil-safe: an
-	// empty config yields empty facts and silent handle checks).
-	handle *HandleConfig
 }
 
 // Run applies every analyzer to every package and returns the surviving
@@ -97,11 +92,6 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 	facts.Graph = BuildCallGraph(pkgs)
 	facts.Summaries = ComputeSummaries(facts.Graph, pkgs)
 	facts.Borrows = ComputeBorrowFacts(facts.Graph, s.fresh)
-	hc := s.handle
-	if hc == nil {
-		hc = NewHandleConfig(Config{})
-	}
-	facts.Handles = ComputeHandleFacts(facts.Graph, facts.Borrows, hc)
 	for _, pkg := range pkgs {
 		allow := collectAllows(pkg)
 		fset := pkg.Fset

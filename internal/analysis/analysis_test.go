@@ -9,15 +9,26 @@ import (
 	"testing"
 )
 
-// fixtureNames lists the golden fixture packages under testdata/src. Each
-// exercises one analyzer with at least one positive, one negative, and one
-// allow-comment case.
-var fixtureNames = []string{
-	"floatcmp", "senterr", "nopanic", "printguard",
-	"wsescape", "poolpair", "noalloc",
-	"ctxflow", "deepnoalloc", "lockhold", "maporder",
-	"borrowck", "lockmode",
-	"handleprov", "stridebound", "genstale", "narrowcast",
+// fixtures lists the golden fixture packages under testdata/src, in suite
+// order, with the analyzer each exercises. Each has at least one positive,
+// one negative, and one allow-comment case. noalloc and lockmode own two
+// fixtures each: deepnoalloc holds noalloc's call-chain cases and lockhold
+// lockmode's held-across-blocking cases.
+var fixtures = []struct{ name, check string }{
+	{"floatcmp", "floatcmp"},
+	{"senterr", "senterr"},
+	{"nopanic", "nopanic"},
+	{"printguard", "printguard"},
+	{"wsescape", "wsescape"},
+	{"poolpair", "poolpair"},
+	{"narrowcast", "narrowcast"},
+	{"ctxflow", "ctxflow"},
+	{"noalloc", "noalloc"},
+	{"deepnoalloc", "noalloc"},
+	{"maporder", "maporder"},
+	{"borrowck", "borrowck"},
+	{"lockmode", "lockmode"},
+	{"lockhold", "lockmode"},
 }
 
 // fixtureConfig scopes the suite to the fixture package so path-based checks
@@ -58,7 +69,7 @@ func fixtureConfig(name string) Config {
 			NoallocAmortized: map[string]bool{"deepnoalloc.cacheFill": true},
 		}
 	case "lockhold":
-		return Config{LockHoldPackages: map[string]bool{"lockhold": true}}
+		return Config{LockModePackages: map[string]bool{"lockhold": true}}
 	case "maporder":
 		return Config{MapOrderPackages: map[string]bool{"maporder": true}}
 	case "borrowck":
@@ -71,44 +82,6 @@ func fixtureConfig(name string) Config {
 			GuardedTypes:     map[string]bool{"lockmode.dataset": true},
 			FreshFuncs:       map[string]bool{"lockmode.newDataset": true},
 			LockModePure:     map[string]bool{"lockmode.dataset.Dim": true},
-		}
-	case "handleprov":
-		return Config{
-			HandlePackages: map[string]bool{"handleprov": true},
-			HandleRuns: map[string]RunSpec{
-				"handleprov.tree.level": {Index: HandleNode},
-				"handleprov.tree.count": {Index: HandleNode},
-				"handleprov.tree.idAt":  {Index: HandleSlot},
-				"handleprov.tree.free":  {Elem: HandleSlot},
-				"handleprov.coll.idAt":  {Index: HandleSlot},
-			},
-			HandleTypes: map[string]HandleClass{"handleprov.ref": HandleNode},
-		}
-	case "stridebound":
-		return Config{
-			HandlePackages: map[string]bool{"stridebound": true},
-			HandleRuns: map[string]RunSpec{
-				"stridebound.tree.ents":  {Index: HandleNode, Elem: HandleNode, Stride: true},
-				"stridebound.tree.rects": {Index: HandleNode, Stride: true},
-				"stridebound.tree.count": {Index: HandleNode},
-			},
-			HandleTypes: map[string]HandleClass{"stridebound.ref": HandleNode},
-			HandleBoundFields: map[string]bool{
-				"stridebound.tree.dim":    true,
-				"stridebound.tree.fanout": true,
-				"stridebound.tree.count":  true,
-			},
-		}
-	case "genstale":
-		return Config{
-			HandlePackages: map[string]bool{"genstale": true},
-			HandleRuns: map[string]RunSpec{
-				"genstale.table.data": {Index: HandleNode},
-			},
-			HandleTypes:       map[string]HandleClass{"genstale.ref": HandleNode},
-			HandleGenFields:   map[string]bool{"genstale.table.gen": true},
-			HandleOwners:      map[string]bool{"genstale.table": true},
-			HandleStableViews: map[string]bool{"genstale.table.Stable": true},
 		}
 	case "narrowcast":
 		return Config{
@@ -222,20 +195,24 @@ func loadFixture(t *testing.T, name string) *Package {
 	return pkg
 }
 
-// TestGolden runs each analyzer over its fixture and matches the diagnostics
+// TestGolden runs the suite over each fixture and matches the diagnostics
 // against the `// want` expectations, both ways: every expectation must be
-// fulfilled by a diagnostic on its line, and every diagnostic must be
-// expected.
+// fulfilled by a diagnostic of the fixture's analyzer on its line, and
+// every diagnostic must be expected.
 func TestGolden(t *testing.T) {
-	for _, name := range fixtureNames {
-		t.Run(name, func(t *testing.T) {
-			pkg := loadFixture(t, name)
+	for _, fx := range fixtures {
+		t.Run(fx.name, func(t *testing.T) {
+			pkg := loadFixture(t, fx.name)
 			wants := parseWants(t, pkg)
 			if len(wants) == 0 {
-				t.Fatalf("fixture %s has no want expectations", name)
+				t.Fatalf("fixture %s has no want expectations", fx.name)
 			}
-			diags := NewSuite(fixtureConfig(name)).Run([]*Package{pkg})
+			diags := NewSuite(fixtureConfig(fx.name)).Run([]*Package{pkg})
 			for _, d := range diags {
+				if d.Check != fx.check {
+					t.Errorf("diagnostic from %s, not the fixture's %s: %s", d.Check, fx.check, d)
+					continue
+				}
 				matched := false
 				for _, w := range wants {
 					if !w.hit && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
@@ -262,7 +239,8 @@ func TestGolden(t *testing.T) {
 // machinery must be the only thing keeping those lines quiet. The fixture
 // package is shared, so the comments are restored afterwards.
 func TestGoldenAllowStripped(t *testing.T) {
-	for _, name := range fixtureNames {
+	for _, fx := range fixtures {
+		name := fx.name
 		t.Run(name, func(t *testing.T) {
 			pkg := loadFixture(t, name)
 			base := len(NewSuite(fixtureConfig(name)).Run([]*Package{pkg}))
@@ -291,7 +269,7 @@ func TestGoldenAllowStripped(t *testing.T) {
 }
 
 // TestSuiteNames pins the analyzer names the allow comments and cmd/ordlint
-// -checks flag refer to.
+// -check flag refer to, and that every analyzer has a fixture.
 func TestSuiteNames(t *testing.T) {
 	s := NewSuite(Config{})
 	var names []string
@@ -301,8 +279,14 @@ func TestSuiteNames(t *testing.T) {
 		}
 		names = append(names, a.Name)
 	}
+	var checks []string
+	for _, fx := range fixtures {
+		if len(checks) == 0 || checks[len(checks)-1] != fx.check {
+			checks = append(checks, fx.check)
+		}
+	}
 	got := strings.Join(names, " ")
-	wantNames := strings.Join(fixtureNames, " ")
+	wantNames := strings.Join(checks, " ")
 	if got != wantNames {
 		t.Errorf("suite analyzers = %q, want %q", got, wantNames)
 	}

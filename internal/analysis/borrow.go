@@ -49,8 +49,6 @@ type BorrowInfo struct {
 	// with //ordlint:writer, derived from direct field writes, or derived
 	// transitively from calling a writer on a receiver-rooted chain.
 	Writer bool
-	// WriterAnnotated: the //ordlint:writer directive is present.
-	WriterAnnotated bool
 	// WriterVia names the callee that made this a derived writer
 	// (empty when annotated or mutating directly).
 	WriterVia string
@@ -88,9 +86,8 @@ func ComputeBorrowFacts(g *CallGraph, fresh map[string]bool) map[*FuncNode]*Borr
 		bi := &BorrowInfo{}
 		if n.Decl != nil {
 			bi.BorrowAnnotated = hasDirective(n.Decl.Doc, "borrows")
-			bi.WriterAnnotated = hasDirective(n.Decl.Doc, "writer")
 			bi.ReturnsBorrow = bi.BorrowAnnotated
-			bi.Writer = bi.WriterAnnotated
+			bi.Writer = hasDirective(n.Decl.Doc, "writer")
 		}
 		facts[n] = bi
 	}

@@ -191,8 +191,9 @@ func outlivingTarget(tr *borrowTracker, info *types.Info, l ast.Expr) (string, b
 // checkBorrowStale reports borrows used after their lock region ended: a
 // local defined while classes C were (may-)held, then used at a point
 // where some class of C is held on no path. The may-held analysis is the
-// lockhold fixed point; requiring the class to be absent from the may-set
-// keeps branches honest (released on SOME path is not a finding).
+// union fixed point lockmode also runs; requiring the class to be absent
+// from the may-set keeps branches honest (released on SOME path is not a
+// finding).
 func checkBorrowStale(pass *Pass, tr *borrowTracker, n *FuncNode) {
 	info := pass.TypesInfo
 	const (

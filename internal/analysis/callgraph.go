@@ -8,7 +8,7 @@ import (
 )
 
 // This file builds the module-wide call graph the interprocedural checks
-// (ctxflow, deepnoalloc, lockhold) and the function summaries run on. The
+// (ctxflow, noalloc, lockmode) and the function summaries run on. The
 // graph is a conservative over-approximation in the CHA (class hierarchy
 // analysis) tradition, hand-rolled over go/types:
 //
@@ -151,9 +151,6 @@ func (g *CallGraph) NodeOf(f *types.Func) *FuncNode {
 	}
 	return g.byObj[f.Origin()]
 }
-
-// LitNode resolves a function literal to its node.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 
 // NumEdges counts the call edges (all kinds).
 func (g *CallGraph) NumEdges() int {

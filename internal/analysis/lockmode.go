@@ -4,31 +4,42 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"sort"
 	"strings"
 
 	"ordu/internal/analysis/cfg"
 )
 
-// NewLockmode builds the lockmode analyzer: inside the scoped packages
-// (the serving layer), method calls on guarded types must hold the
-// guarding RWMutex in the right mode. Writers — //ordlint:writer methods
-// and everything the field-write derivation classifies as mutating — need
-// the write lock on every path; readers need at least the read lock. Two
-// RWMutex misuse patterns are flagged on any mutex, guarded or not:
-// upgrading RLock to Lock on the same class (self-deadlock) and
-// mode-mismatched unlock pairings (Lock…RUnlock, RLock…Unlock).
+// NewLockmode builds the lockmode analyzer: the lock discipline of the
+// scoped packages (the serving layer). Method calls on guarded types must
+// hold the guarding RWMutex in the right mode: writers — //ordlint:writer
+// methods and everything the field-write derivation classifies as
+// mutating — need the write lock on every path; readers need at least the
+// read lock. On any mutex, guarded or not, it flags:
+//
+//   - a lock held across an operation that can block — a channel op, a
+//     select without default, or a call whose interprocedural summary
+//     says it may block (network/file I/O, sync waits, sleeps). Holding a
+//     lock across one turns one slow client into a server-wide stall; the
+//     registry's pattern is snapshot-under-lock, release, then do the slow
+//     work;
+//   - re-acquiring a class that may already be held (a self-deadlock),
+//     reported as an upgrade when RLock is followed by Lock;
+//   - mode-mismatched unlock pairings (Lock…RUnlock, RLock…Unlock).
 //
 // The dataflow keeps four held-sets per CFG point — may/must × read/write
 // (may joins by union, must by intersection) — plus a must-set of *fresh*
 // objects: results of the configured constructors, exempt from lock
 // requirements until they escape through a call argument, composite
-// literal, store, or channel send. Lock classes match receivers by root
-// identifier: holding "nd.mu" covers calls on "nd.ds". Methods in
-// LockModePure (reads of construction-immutable state) are exempt.
+// literal, store, or channel send. A deferred unlock does not release: it
+// runs at exit, so the lock stays held for the rest of the body. Lock
+// classes match receivers by root identifier: holding "nd.mu" covers calls
+// on "nd.ds". Methods in LockModePure (reads of construction-immutable
+// state) are exempt.
 func NewLockmode(packages, guarded, fresh, pure map[string]bool) *Analyzer {
 	a := &Analyzer{
 		Name:  "lockmode",
-		Doc:   "RWMutex mode discipline: writers on guarded types need the write lock, readers the read lock; no RLock→Lock upgrades or mode-mismatched unlocks",
+		Doc:   "lock discipline: writers on guarded types need the write lock, readers the read lock; no lock held across blocking operations, no re-acquired class, no mode-mismatched unlock",
 		Layer: "interproc",
 	}
 	a.Run = func(pass *Pass) {
@@ -40,7 +51,7 @@ func NewLockmode(packages, guarded, fresh, pure map[string]bool) *Analyzer {
 			return
 		}
 		for _, n := range g.Nodes {
-			if n.Pkg.Path != pass.PkgPath || n.Decl == nil || n.Decl.Body == nil {
+			if n.Pkg.Path != pass.PkgPath || n.Body() == nil {
 				continue
 			}
 			checkLockmode(pass, n, g, sums, borrows, guarded, fresh, pure)
@@ -56,6 +67,7 @@ const (
 	lmGuard          // method call on a guarded type
 	lmGen            // fresh-constructor result bound to a local
 	lmKill           // fresh local escapes
+	lmBlock          // operation that may block
 )
 
 type lmEvent struct {
@@ -66,6 +78,7 @@ type lmEvent struct {
 	base   string    // lmGuard: receiver root identifier ("nd")
 	root   types.Object
 	objs   []types.Object // lmGen: bound locals
+	what   string         // lmBlock: the blocking operation
 	pos    token.Pos
 }
 
@@ -154,16 +167,24 @@ func checkLockmode(pass *Pass, n *FuncNode, g *CallGraph, sums map[*FuncNode]*Su
 	// receiver are internal delegation: the lock obligation lives with the
 	// method's callers, and the writer classification already propagates.
 	var recv types.Object
-	if n.Decl.Recv != nil {
+	if n.Decl != nil && n.Decl.Recv != nil {
 		if r := recvObject(n); r != nil && guarded[namedQName(r.Type())] {
 			recv = r
 		}
 	}
-	graph := cfg.New(n.Decl.Body)
+	// Module call edges by site, to consult callee summaries for calls
+	// that may block (interface and dynamic dispatch included).
+	edgeAt := make(map[token.Pos][]*CallEdge)
+	for _, e := range n.Out {
+		if e.Kind == EdgeCall || e.Kind == EdgeIface || e.Kind == EdgeDynamic {
+			edgeAt[e.Pos] = append(edgeAt[e.Pos], e)
+		}
+	}
+	graph := cfg.New(n.Body())
 	events := make([][]lmEvent, len(graph.Blocks))
 	for _, b := range graph.Blocks {
 		for _, node := range b.Nodes {
-			events[b.Index] = append(events[b.Index], lmEventsOf(info, g, node, guarded, fresh, pure)...)
+			events[b.Index] = append(events[b.Index], lmEventsOf(info, g, sums, edgeAt, node, guarded, fresh, pure)...)
 		}
 	}
 
@@ -184,6 +205,11 @@ func checkLockmode(pass *Pass, n *FuncNode, g *CallGraph, sums map[*FuncNode]*Su
 				}
 			case lmKill:
 				delete(st.fresh, ev.root)
+			case lmBlock:
+				if report && (len(st.mayR) > 0 || len(st.mayW) > 0) {
+					pass.Report(ev.pos, "%s while holding %s; release the lock before the blocking operation (snapshot under lock, then work)",
+						ev.what, heldList(st))
+				}
 			}
 		}
 	}
@@ -219,18 +245,39 @@ func checkLockmode(pass *Pass, n *FuncNode, g *CallGraph, sums map[*FuncNode]*Su
 	}
 }
 
+// heldList renders the may-held classes, sorted, for diagnostics.
+func heldList(st *lmState) string {
+	var classes []string
+	for c := range st.mayR {
+		classes = append(classes, c)
+	}
+	for c := range st.mayW {
+		if !st.mayR[c] {
+			classes = append(classes, c)
+		}
+	}
+	sort.Strings(classes)
+	return strings.Join(classes, ", ")
+}
+
 // applyMutex transitions the held sets for a direct mutex call, reporting
-// upgrades and mode-mismatched unlocks when asked to.
+// re-acquisitions and mode-mismatched unlocks when asked to.
 func applyMutex(pass *Pass, st *lmState, ev lmEvent, report bool) {
 	c := ev.class
 	switch ev.method {
-	case "Lock":
-		if report && st.mayR[c] && !st.mayW[c] {
+	case "Lock", "RLock":
+		switch {
+		case !report:
+		case ev.method == "Lock" && st.mayR[c] && !st.mayW[c]:
 			pass.Report(ev.pos, "Lock on %s while the read lock may be held: RLock→Lock upgrades self-deadlock; release the read lock first", c)
+		case st.mayR[c] || st.mayW[c]:
+			pass.Report(ev.pos, "%s is locked while already held on some path: self-deadlock", c)
 		}
-		st.mayW[c], st.mustW[c] = true, true
-	case "RLock":
-		st.mayR[c], st.mustR[c] = true, true
+		if ev.method == "Lock" {
+			st.mayW[c], st.mustW[c] = true, true
+		} else {
+			st.mayR[c], st.mustR[c] = true, true
+		}
 	case "Unlock":
 		if report && st.mayR[c] && !st.mayW[c] {
 			pass.Report(ev.pos, "Unlock on %s pairs with RLock on some path; use RUnlock", c)
@@ -312,13 +359,19 @@ func checkGuardedCall(pass *Pass, st *lmState, ev lmEvent, borrows map[*FuncNode
 }
 
 // lmEventsOf extracts the ordered lockmode events of one CFG node. Defer
-// statements contribute nothing (deferred unlocks run at exit).
-func lmEventsOf(info *types.Info, g *CallGraph, node ast.Node, guarded, fresh, pure map[string]bool) []lmEvent {
+// statements contribute nothing: deferred unlocks run at exit (so the lock
+// stays held through the body), and deferred blocking work runs outside
+// the critical section's useful span.
+func lmEventsOf(info *types.Info, g *CallGraph, sums map[*FuncNode]*Summary, edgeAt map[token.Pos][]*CallEdge,
+	node ast.Node, guarded, fresh, pure map[string]bool) []lmEvent {
 	if _, ok := node.(*ast.DeferStmt); ok {
 		return nil
 	}
 	var evs []lmEvent
 	inspectShallow(node, func(m ast.Node) bool {
+		if what := blockSite(info, m); what != "" {
+			evs = append(evs, lmEvent{kind: lmBlock, what: what, pos: m.Pos()})
+		}
 		switch x := m.(type) {
 		case *ast.AssignStmt:
 			if objs := freshTargets(info, x, fresh, guarded); len(objs) > 0 {
@@ -341,6 +394,9 @@ func lmEventsOf(info *types.Info, g *CallGraph, node ast.Node, guarded, fresh, p
 			if method, class, ok := syncMutexCall(info, x); ok {
 				evs = append(evs, lmEvent{kind: lmMutex, method: method, class: class, pos: x.Pos()})
 				return true
+			}
+			if what := blockingCall(info, sums, edgeAt, x); what != "" {
+				evs = append(evs, lmEvent{kind: lmBlock, what: what, pos: x.Pos()})
 			}
 			f, ok := calleeObject(info, x).(*types.Func)
 			if !ok {
@@ -374,6 +430,29 @@ func lmEventsOf(info *types.Info, g *CallGraph, node ast.Node, guarded, fresh, p
 		return true
 	})
 	return evs
+}
+
+// blockingCall describes a call that may block — a blocking stdlib call,
+// or a module callee (direct, interface or dynamic) whose summary says it
+// may block — or returns "".
+func blockingCall(info *types.Info, sums map[*FuncNode]*Summary, edgeAt map[token.Pos][]*CallEdge, call *ast.CallExpr) string {
+	if f, ok := calleeObject(info, call).(*types.Func); ok && f.Pkg() != nil {
+		if what := externBlocks(f.Pkg().Path(), f.Name()); what != "" {
+			return "call to " + what
+		}
+	}
+	for _, e := range edgeAt[call.Pos()] {
+		if s := sums[e.Callee]; s != nil && s.MayBlock {
+			what := "call to " + shortName(e.Callee.Name)
+			if s.BlockVia != "" {
+				what += " (blocks via " + shortName(s.BlockVia) + ")"
+			} else if len(s.BlockSites) > 0 {
+				what += " (" + s.BlockSites[0].What + ")"
+			}
+			return what
+		}
+	}
+	return ""
 }
 
 // freshTargets returns the locals bound to a fresh-constructor result (or

@@ -22,17 +22,12 @@ type Facts struct {
 	loadedPkgs map[string]bool
 	// Graph is the module-wide call graph and Summaries the per-function
 	// summaries over it, the substrate of the interprocedural checks
-	// (ctxflow, deepnoalloc, lockhold). Built once per Suite.Run.
+	// (ctxflow, noalloc, lockmode). Built once per Suite.Run.
 	Graph     *CallGraph
 	Summaries map[*FuncNode]*Summary
 	// Borrows holds the borrow/writer facts of the lock-discipline checks
 	// (borrowck, lockmode), computed over Graph after Summaries.
 	Borrows map[*FuncNode]*BorrowInfo
-	// Handles holds the arena-handle provenance summaries (return/param
-	// classes, mutator and bounded facts) behind the handle layer
-	// (handleprov, stridebound, genstale, narrowcast), computed over
-	// Graph after Borrows.
-	Handles map[*FuncNode]*HandleInfo
 }
 
 // wsDocPhrases are the doc-comment fragments that mark a type as a

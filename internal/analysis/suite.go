@@ -33,16 +33,13 @@ type Config struct {
 	// ScanCalls are the method names that advance a progressive scan;
 	// ctxflow treats a loop calling one as potentially unbounded.
 	ScanCalls map[string]bool
-	// NoallocExternals are package paths deepnoalloc accepts as
+	// NoallocExternals are package paths noalloc accepts as
 	// allocation-free when a kernel's call chain leaves the module.
 	NoallocExternals map[string]bool
-	// NoallocAmortized are qualified function names deepnoalloc skips
-	// entirely: documented one-time cache fills whose steady state the
-	// dynamic allocation gates prove free.
+	// NoallocAmortized are qualified function names noalloc's call-chain
+	// walk skips entirely: documented one-time cache fills whose steady
+	// state the dynamic allocation gates prove free.
 	NoallocAmortized map[string]bool
-	// LockHoldPackages are the packages lockhold audits for mutexes held
-	// across blocking operations.
-	LockHoldPackages map[string]bool
 	// MapOrderPackages are the packages maporder audits for map-range
 	// iteration feeding appended results.
 	MapOrderPackages map[string]bool
@@ -50,8 +47,9 @@ type Config struct {
 	// must keep borrows out of them: calls that retain their arguments
 	// beyond the request (the server's result cache).
 	BorrowSinks map[string]string
-	// LockModePackages are the packages lockmode audits for RWMutex
-	// read/write discipline over the guarded types.
+	// LockModePackages are the packages lockmode audits: RWMutex
+	// read/write discipline over the guarded types, and locks held across
+	// blocking operations.
 	LockModePackages map[string]bool
 	// GuardedTypes are qualified type names whose methods require the
 	// per-dataset lock: writers the write lock, readers at least the read
@@ -64,28 +62,12 @@ type Config struct {
 	// LockModePure are qualified methods on guarded types that read only
 	// construction-immutable state and may run without the lock.
 	LockModePure map[string]bool
-	// HandlePackages are the packages whose bodies the handle layer
-	// (handleprov, stridebound, genstale, narrowcast) audits.
+	// HandlePackages are the packages holding the flat core's integer
+	// handles, whose narrowing conversions narrowcast audits.
 	HandlePackages map[string]bool
-	// HandleRuns are the flat runs ("pkgpath.Type.field" -> RunSpec): the
-	// arena-backed slices and slot maps whose subscripts need provenance.
-	HandleRuns map[string]RunSpec
-	// HandleTypes are named integer types that carry a handle class
-	// wherever they appear (rtree.NodeRef).
-	HandleTypes map[string]HandleClass
-	// HandleBoundFields are capacity fields and count runs accepted as
-	// stride offsets and guard bounds ("pkgpath.Type.field").
+	// HandleBoundFields are the capacity fields and count runs
+	// ("pkgpath.Type.field") narrowcast accepts as guard bounds.
 	HandleBoundFields map[string]bool
-	// HandleGenFields are generation-counter fields whose reads yield
-	// HandleGen values ("pkgpath.Type.field").
-	HandleGenFields map[string]bool
-	// HandleOwners are flat-core structures whose //ordlint:writer methods
-	// invalidate outstanding handles and views ("pkgpath.Type").
-	HandleOwners map[string]bool
-	// HandleStableViews are borrow-annotated functions whose views
-	// survive mutations (the slot-stability contract); unlisted borrow
-	// views are killed by genstale's invalidation points.
-	HandleStableViews map[string]bool
 }
 
 // DefaultConfig is the configuration `cmd/ordlint` enforces on this module:
@@ -105,40 +87,32 @@ type Config struct {
 //   - poolpair balances the two free lists: the explorer's node pool
 //     (exploreWS.node/recycle) and the hull builder's facet pool
 //     (Builder.allocFacet/freeFacet);
+//   - narrowcast covers every package that holds the flat core's integer
+//     handles — rtree (and the legacy oracle), collection, skyband, topk,
+//     the server and narrow (the guarded conversion gate) — and accepts
+//     the tree's dim, fanout and entCap fields and its count run as guard
+//     bounds;
 //   - ctxflow treats every function of internal/server plus the facade's
 //     ORDCtx/ORUCtx as entry points: whatever a request can reach must stay
 //     cancellable, and a loop calling Next, NextCtx or fetch advances a
 //     progressive scan;
-//   - deepnoalloc accepts math, sort and sync/atomic as allocation-free
-//     stdlib destinations and skips geom.simplexFor, the documented
-//     per-dimension constant-cache fill;
-//   - lockhold audits internal/server, the only package that holds locks
-//     near I/O;
+//   - noalloc accepts math, sort and sync/atomic as allocation-free
+//     stdlib destinations of a kernel's call chains and skips
+//     geom.simplexFor, the documented per-dimension constant-cache fill;
 //   - maporder audits the packages that assemble ordered results from
 //     map-keyed state: internal/core, internal/skyband, internal/server;
 //   - borrowck runs everywhere (//ordlint:borrows annotations seed it) and
 //     keeps borrows of packed point storage out of the server's result
 //     cache, the one store that outlives requests;
-//   - lockmode audits internal/server, where the per-dataset RWMutex
-//     guards Dataset/Collection calls; Dataset.Dim is pure
-//     (construction-immutable) and the dataset constructors yield fresh
-//     unpublished objects;
-//   - the handle layer (handleprov, stridebound, genstale, narrowcast)
-//     covers the flat spatial core, every package that holds its integer
-//     handles — rtree (and the legacy oracle), skyband, topk, the server
-//     (whose generation field is the configured gen counter), and narrow
-//     (the guarded conversion gate) — and collection, whose writers
-//     mutate the tree. The runs, capacity fields and stable views mirror
-//     the arena layout documented in internal/rtree: node-indexed
-//     level/count/rseg arenas, the stride-windowed ents/rects runs, the
-//     slot-indexed chunk storage that holds the one copy of each record,
-//     and the free lists as element providers.
+//   - lockmode audits internal/server, the only package that holds locks
+//     near I/O, where the per-dataset RWMutex guards Dataset/Collection
+//     calls; Dataset.Dim is pure (construction-immutable) and the dataset
+//     constructors yield fresh unpublished objects.
 func DefaultConfig(modulePath string) Config {
 	internal := func(pkgPath string) bool {
 		return strings.HasPrefix(pkgPath, modulePath+"/internal/")
 	}
 	rt := modulePath + "/internal/rtree"
-	col := modulePath + "/internal/collection"
 	return Config{
 		FloatcmpApproved: map[string]bool{
 			modulePath + "/internal/geom.Vector.Equal": true,
@@ -177,9 +151,6 @@ func DefaultConfig(modulePath string) Config {
 		NoallocAmortized: map[string]bool{
 			modulePath + "/internal/geom.simplexFor": true,
 		},
-		LockHoldPackages: map[string]bool{
-			modulePath + "/internal/server": true,
-		},
 		MapOrderPackages: map[string]bool{
 			modulePath + "/internal/core":    true,
 			modulePath + "/internal/skyband": true,
@@ -213,47 +184,11 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/server":       true,
 			modulePath + "/internal/narrow":       true,
 		},
-		HandleRuns: map[string]RunSpec{
-			rt + ".Tree.level":     {Index: HandleNode},
-			rt + ".Tree.count":     {Index: HandleNode},
-			rt + ".Tree.rseg":      {Index: HandleNode, Elem: HandleNode},
-			rt + ".Tree.ents":      {Index: HandleNode, Elem: HandleNode | HandleSlot, Stride: true},
-			rt + ".Tree.rects":     {Index: HandleNode, Stride: true},
-			rt + ".Tree.chunks":    {Index: HandleSlot},
-			rt + ".Tree.idAt":      {Index: HandleSlot},
-			rt + ".Tree.slotOf":    {Elem: HandleSlot},
-			rt + ".Tree.freeNodes": {Elem: HandleNode},
-			rt + ".Tree.freeSegs":  {Elem: HandleNode},
-			rt + ".Tree.freeSlots": {Elem: HandleSlot},
-		},
-		HandleTypes: map[string]HandleClass{
-			rt + ".NodeRef": HandleNode,
-		},
 		HandleBoundFields: map[string]bool{
 			rt + ".Tree.dim":    true,
 			rt + ".Tree.fanout": true,
 			rt + ".Tree.entCap": true,
 			rt + ".Tree.count":  true,
-		},
-		HandleGenFields: map[string]bool{
-			modulePath + "/internal/server.namedDataset.gen": true,
-		},
-		HandleOwners: map[string]bool{
-			modulePath + ".Dataset": true,
-			col + ".Collection":     true,
-			rt + ".Tree":            true,
-			rt + "/legacy.Tree":     true,
-		},
-		HandleStableViews: map[string]bool{
-			// Slot-backed vectors: the chunk storage never reallocates, so
-			// these views stay addressable across mutations (their
-			// coordinates may change — they track the live record).
-			rt + ".Tree.LeafPoint":  true,
-			rt + ".Tree.Point":      true,
-			rt + ".Tree.slotVec":    true,
-			col + ".Collection.Get": true,
-			// Stable by construction: the tree pointer itself.
-			col + ".Collection.Tree": true,
 		},
 	}
 }
@@ -271,24 +206,18 @@ func NewSuite(cfg Config) *Suite {
 	if printguard == nil {
 		printguard = nope
 	}
-	hc := NewHandleConfig(cfg)
-	return &Suite{fresh: cfg.FreshFuncs, handle: hc, Analyzers: []*Analyzer{
+	return &Suite{fresh: cfg.FreshFuncs, Analyzers: []*Analyzer{
 		NewFloatcmp(cfg.FloatcmpApproved),
 		NewSenterr(senterr),
 		NewNopanic(nopanic),
 		NewPrintguard(printguard),
 		NewWsescape(cfg.WorkspacePackage),
 		NewPoolpair(cfg.PoolPairs),
-		NewNoalloc(cfg.WorkspacePackage),
+		NewNarrowcast(cfg.HandlePackages, cfg.HandleBoundFields),
 		NewCtxflow(cfg.CtxFlowEntryPackages, cfg.CtxFlowEntryFuncs, cfg.ScanCalls),
-		NewDeepnoalloc(cfg.NoallocExternals, cfg.NoallocAmortized),
-		NewLockhold(cfg.LockHoldPackages),
+		NewNoalloc(cfg.WorkspacePackage, cfg.NoallocExternals, cfg.NoallocAmortized),
 		NewMaporder(cfg.MapOrderPackages),
 		NewBorrowck(cfg.BorrowSinks, cfg.FreshFuncs),
 		NewLockmode(cfg.LockModePackages, cfg.GuardedTypes, cfg.FreshFuncs, cfg.LockModePure),
-		NewHandleprov(hc),
-		NewStridebound(hc),
-		NewGenstale(hc),
-		NewNarrowcast(hc),
 	}}
 }

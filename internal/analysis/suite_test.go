@@ -33,7 +33,6 @@ func TestDefaultConfigNamesResolve(t *testing.T) {
 		"CtxFlowEntryPackages": kindPackage,
 		"CtxFlowEntryFuncs":    kindFunc,
 		"NoallocAmortized":     kindFunc,
-		"LockHoldPackages":     kindPackage,
 		"MapOrderPackages":     kindPackage,
 		"BorrowSinks":          kindFunc,
 		"LockModePackages":     kindPackage,
@@ -41,12 +40,7 @@ func TestDefaultConfigNamesResolve(t *testing.T) {
 		"FreshFuncs":           kindFunc,
 		"LockModePure":         kindFunc,
 		"HandlePackages":       kindPackage,
-		"HandleRuns":           kindField,
-		"HandleTypes":          kindType,
 		"HandleBoundFields":    kindField,
-		"HandleGenFields":      kindField,
-		"HandleOwners":         kindType,
-		"HandleStableViews":    kindFunc,
 	}
 	skip := map[string]bool{"ScanCalls": true, "NoallocExternals": true}
 
@@ -137,5 +131,36 @@ func TestDefaultConfigNamesResolve(t *testing.T) {
 	for _, pp := range cfg.PoolPairs {
 		check("PoolPairs", pp.Get, kindFunc)
 		check("PoolPairs", pp.Put, kindFunc)
+	}
+}
+
+// TestAllowNamesResolve checks that every //ordlint:allow comment in the
+// module names a check of the default suite, or "*". An allow naming a
+// deleted or misspelt check suppresses nothing, so it would outlive the
+// check it was written for without anyone noticing; this test notices.
+func TestAllowNamesResolve(t *testing.T) {
+	pkgs, modPath := loadModule(t)
+	known := map[string]bool{"*": true}
+	for _, a := range NewSuite(DefaultConfig(modPath)).Analyzers {
+		known[a.Name] = true
+	}
+	var bad []string
+	for _, pkg := range pkgs {
+		if !pkg.InModule {
+			continue
+		}
+		for file, lines := range collectAllows(pkg) {
+			for line, checks := range lines {
+				for name := range checks {
+					if !known[name] {
+						bad = append(bad, fmt.Sprintf("%s:%d: //ordlint:allow names %q, which is not a check of the default suite", file, line, name))
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(bad)
+	for _, b := range bad {
+		t.Error(b)
 	}
 }

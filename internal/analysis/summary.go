@@ -33,8 +33,7 @@ type SummarySite struct {
 
 // LockOp is one mode-tagged mutex operation: the receiver chain's lock
 // class plus whether it is the write side (Lock/Unlock) or the shared read
-// side (RLock/RUnlock). lockmode consumes the distinction; lockhold only
-// cares that something is held.
+// side (RLock/RUnlock), the distinction lockmode's mode checks consume.
 type LockOp struct {
 	Class string
 	W     bool
@@ -126,93 +125,25 @@ func directSummary(n *FuncNode, allow allowSet) *Summary {
 	}
 	info := n.Pkg.Info
 	fset := n.Pkg.Fset
+	// A site under a growth guard is warm-up, and a site suppressed for
+	// noalloc carries a documented contract; summaries treat both as
+	// non-allocating so the exemption propagates to callers.
 	spans := guardSpansIn(body)
-	guarded := func(pos token.Pos) bool {
-		for _, sp := range spans {
-			if pos >= sp[0] && pos < sp[1] {
-				return true
-			}
-		}
-		return false
-	}
-	// A site suppressed for noalloc (or deepnoalloc) carries a documented
-	// contract; summaries treat it as non-allocating so the exemption
-	// propagates to callers.
-	allowed := func(pos token.Pos) bool {
+	allocSites(info, body, func(pos token.Pos, what string) {
 		p := fset.Position(pos)
-		return allow.allows(p.Filename, p.Line, "noalloc") ||
-			allow.allows(p.Filename, p.Line, "deepnoalloc")
-	}
-	alloc := func(pos token.Pos, what string) {
-		if !guarded(pos) && !allowed(pos) {
+		if !inSpans(spans, pos) && !allow.allows(p.Filename, p.Line, "noalloc") {
 			s.AllocSites = append(s.AllocSites, SummarySite{pos, what})
 		}
-	}
+	})
 	block := func(pos token.Pos, what string) {
 		s.BlockSites = append(s.BlockSites, SummarySite{pos, what})
 	}
 
 	inspectShallow(body, func(node ast.Node) bool {
+		if what := blockSite(info, node); what != "" {
+			block(node.Pos(), what)
+		}
 		switch x := node.(type) {
-		case *ast.FuncLit:
-			// inspectShallow keeps us out of the literal's body, but the
-			// closure's creation allocates here.
-			alloc(x.Pos(), "closure literal")
-		case *ast.CompositeLit:
-			if t := typeOf(info, x); t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice:
-					alloc(x.Pos(), "slice literal")
-				case *types.Map:
-					alloc(x.Pos(), "map literal")
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				if _, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
-					alloc(x.Pos(), "&composite literal")
-				}
-			}
-			if x.Op == token.ARROW {
-				block(x.Pos(), "channel receive")
-			}
-		case *ast.SendStmt:
-			block(x.Pos(), "channel send")
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					hasDefault = true
-				}
-			}
-			if !hasDefault {
-				block(x.Pos(), "select without default")
-			}
-		case *ast.RangeStmt:
-			if t := typeOf(info, x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					block(x.Pos(), "range over channel")
-				}
-			}
-		case *ast.BinaryExpr:
-			if x.Op == token.ADD && isStringType(info, x) {
-				alloc(x.Pos(), "string concatenation")
-			}
-		case *ast.GoStmt:
-			alloc(x.Pos(), "go statement")
-		case *ast.AssignStmt:
-			if x.Tok == token.ADD_ASSIGN && len(x.Lhs) == 1 && isStringType(info, x.Lhs[0]) {
-				alloc(x.Pos(), "string concatenation")
-			}
-			for _, l := range x.Lhs {
-				if ix, ok := ast.Unparen(l).(*ast.IndexExpr); ok {
-					if t := typeOf(info, ix.X); t != nil {
-						if _, ok := t.Underlying().(*types.Map); ok {
-							alloc(l.Pos(), "map write")
-						}
-					}
-				}
-			}
 		case *ast.DeferStmt:
 			if deferRecovers(info, x) {
 				s.Recovers = true
@@ -224,7 +155,9 @@ func directSummary(n *FuncNode, allow allowSet) *Summary {
 				}
 			}
 		case *ast.CallExpr:
-			summarizeCall(info, x, s, alloc)
+			if b, ok := calleeObject(info, x).(*types.Builtin); ok && b.Name() == "panic" {
+				s.PanicSites = append(s.PanicSites, SummarySite{x.Pos(), "panic"})
+			}
 		}
 		return true
 	})
@@ -253,28 +186,32 @@ func directSummary(n *FuncNode, allow allowSet) *Summary {
 	return s
 }
 
-// summarizeCall handles allocation-relevant direct calls: make/new, panic,
-// and string<->bytes conversions.
-func summarizeCall(info *types.Info, call *ast.CallExpr, s *Summary, alloc func(token.Pos, string)) {
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		dst := tv.Type
-		if src := typeOf(info, call.Args[0]); src != nil && stringBytesConv(dst, src) {
-			alloc(call.Pos(), "string<->bytes conversion")
+// blockSite classifies the channel operations that can block the calling
+// goroutine: a send, a receive, a select without default and a range over
+// a channel. It returns a short description, or "" for any other node.
+func blockSite(info *types.Info, n ast.Node) string {
+	switch x := n.(type) {
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.UnaryExpr:
+		if x.Op == token.ARROW {
+			return "channel receive"
 		}
-		return
-	}
-	if b, ok := calleeObject(info, call).(*types.Builtin); ok {
-		switch b.Name() {
-		case "make", "new":
-			alloc(call.Pos(), b.Name())
-		case "panic":
-			s.PanicSites = append(s.PanicSites, SummarySite{call.Pos(), "panic"})
+	case *ast.SelectStmt:
+		for _, c := range x.Body.List {
+			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+				return ""
+			}
+		}
+		return "select without default"
+	case *ast.RangeStmt:
+		if t := typeOf(info, x.X); t != nil {
+			if _, ok := t.Underlying().(*types.Chan); ok {
+				return "range over channel"
+			}
 		}
 	}
-	// Appends are deliberately not summary allocation sites: appending into
-	// a caller-provided or workspace buffer is the library's designed
-	// pattern, and the intraprocedural noalloc check already polices fresh
-	// appends inside annotated kernels themselves.
+	return ""
 }
 
 // deferRecovers reports whether a defer statement (directly or through a
@@ -303,27 +240,18 @@ func lockClassesIn(info *types.Info, body ast.Node) (acquires, releases []LockOp
 		if !ok {
 			return true
 		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		method, class, ok := syncMutexCall(info, call)
 		if !ok {
 			return true
 		}
-		f, ok := info.Uses[sel.Sel].(*types.Func)
-		if !ok {
-			if s, ok := info.Selections[sel]; ok {
-				f, _ = s.Obj().(*types.Func)
-			}
-		}
-		if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync" {
-			return true
-		}
-		op := LockOp{Class: exprString(sel.X), W: f.Name() == "Lock" || f.Name() == "Unlock"}
-		switch f.Name() {
+		op := LockOp{Class: class, W: method == "Lock" || method == "Unlock"}
+		switch method {
 		case "Lock", "RLock":
 			if !seenA[op] {
 				seenA[op] = true
 				acquires = append(acquires, op)
 			}
-		case "Unlock", "RUnlock":
+		default:
 			if !seenR[op] {
 				seenR[op] = true
 				releases = append(releases, op)
@@ -334,6 +262,30 @@ func lockClassesIn(info *types.Info, body ast.Node) (acquires, releases []LockOp
 	sortLockOps(acquires)
 	sortLockOps(releases)
 	return acquires, releases
+}
+
+// syncMutexCall recognizes sync.Mutex/RWMutex method calls (including
+// promoted embeddings) and returns the method name and the receiver
+// chain's lock class.
+func syncMutexCall(info *types.Info, call *ast.CallExpr) (method, class string, ok bool) {
+	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !isSel {
+		return "", "", false
+	}
+	var f *types.Func
+	if s, found := info.Selections[sel]; found {
+		f, _ = s.Obj().(*types.Func)
+	} else {
+		f, _ = info.Uses[sel.Sel].(*types.Func)
+	}
+	if f == nil || f.Pkg() == nil || f.Pkg().Path() != "sync" {
+		return "", "", false
+	}
+	switch f.Name() {
+	case "Lock", "RLock", "Unlock", "RUnlock":
+		return f.Name(), exprString(sel.X), true
+	}
+	return "", "", false
 }
 
 func sortLockOps(ops []LockOp) {
@@ -352,7 +304,7 @@ func externBlocks(pkg, name string) string {
 	switch pkg {
 	case "sync":
 		// Lock/RLock are deliberately not classified: an internal mutex's
-		// critical sections are bounded-short in this module (lockhold
+		// critical sections are bounded-short in this module (lockmode
 		// enforces exactly that), so treating every locking helper as
 		// may-block would flag all nested-mutex use — lock-ordering
 		// analysis, which this is not. Waits are unbounded and count.
@@ -401,31 +353,4 @@ func typeOf(info *types.Info, e ast.Expr) types.Type {
 		return tv.Type
 	}
 	return nil
-}
-
-// guardSpansIn collects the extents of if-statements whose condition
-// consults cap or len — the growth-guard idiom shared by noalloc and the
-// summary layer. Any allocation inside one is the cold warm-up path.
-func guardSpansIn(body ast.Node) [][2]token.Pos {
-	var spans [][2]token.Pos
-	ast.Inspect(body, func(n ast.Node) bool {
-		ifs, ok := n.(*ast.IfStmt)
-		if !ok || ifs.Cond == nil {
-			return true
-		}
-		guarded := false
-		ast.Inspect(ifs.Cond, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && (id.Name == "cap" || id.Name == "len") {
-					guarded = true
-				}
-			}
-			return true
-		})
-		if guarded {
-			spans = append(spans, [2]token.Pos{ifs.Body.Pos(), ifs.Body.End()})
-		}
-		return true
-	})
-	return spans
 }

@@ -1,8 +1,8 @@
-// Package deepnoalloc exercises the transitive //ordlint:noalloc contract:
-// an annotated kernel may not call its way to an allocation, whether the
-// allocation is a module callee's make or an escape into a stdlib package
-// off the allocation-free allowlist. The fixture config allowlists math and
-// marks cacheFill as an amortized one-time fill.
+// Package deepnoalloc exercises noalloc's call-chain cases: an annotated
+// kernel may not call its way to an allocation, whether the allocation is
+// a module callee's make or an escape into a stdlib package off the
+// allocation-free allowlist. The fixture config allowlists math and marks
+// cacheFill as an amortized one-time fill.
 package deepnoalloc
 
 import (
@@ -32,7 +32,7 @@ func cacheFill() {
 }
 
 func helperAllowed() {
-	sink = make([]int, 1) //ordlint:allow deepnoalloc — documented free-list miss; growth is amortized
+	sink = make([]int, 1) //ordlint:allow noalloc — documented free-list miss; growth is amortized
 }
 
 // Kernel reaches a module callee that allocates.

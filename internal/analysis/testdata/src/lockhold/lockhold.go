@@ -1,8 +1,8 @@
-// Package lockhold exercises the held-across-blocking-operation analysis:
-// a mutex class acquired on some path may not be held at a channel op, a
-// select without default, or a call that may block per the interprocedural
-// summary. Deferred unlocks do not release (they run at exit), and
-// re-acquiring a held class is a self-deadlock.
+// Package lockhold exercises lockmode's held-across-blocking-operation
+// cases: a mutex class acquired on some path may not be held at a channel
+// op, a select without default, or a call that may block per the
+// interprocedural summary. Deferred unlocks do not release (they run at
+// exit), and re-acquiring a held class is a self-deadlock.
 package lockhold
 
 import (
@@ -75,6 +75,6 @@ func (r *registry) GoodNonBlocking() int {
 // Allowed documents a deliberate exception in place.
 func (r *registry) Allowed() {
 	r.mu.Lock()
-	time.Sleep(time.Millisecond) //ordlint:allow lockhold — startup-only path with no concurrent callers
+	time.Sleep(time.Millisecond) //ordlint:allow lockmode — startup-only path with no concurrent callers
 	r.mu.Unlock()
 }

@@ -2,7 +2,6 @@ package fixedregion
 
 import (
 	"math"
-	"sort"
 
 	"ordu/internal/geom"
 	"ordu/internal/region"
@@ -12,16 +11,23 @@ import (
 // with the simplex. It carries the interval bounds explicitly so that
 // linear minimisation — the workhorse of R-dominance tests — runs in
 // closed form (a fractional-knapsack argument) instead of a general LP.
+//
+// MinOver and RDominatesBox reuse the box's scratch, so a box is not
+// goroutine-safe: RSB, JAA and the experiments build one box per call.
 type BoxRegion struct {
 	Center geom.Vector
 	Side   float64
 	lo, hi []float64
+
+	diff  []float64 // RDominatesBox's score-difference vector
+	order []int     // MinOver's coordinates by increasing coefficient
 }
 
 // NewBox builds the hypercube region |v_i - c_i| <= side/2 on the simplex.
 func NewBox(c geom.Vector, side float64) *BoxRegion {
 	d := len(c)
-	b := &BoxRegion{Center: c.Clone(), Side: side, lo: make([]float64, d), hi: make([]float64, d)}
+	b := &BoxRegion{Center: c.Clone(), Side: side, lo: make([]float64, d), hi: make([]float64, d),
+		diff: make([]float64, d), order: make([]int, d)}
 	for i := 0; i < d; i++ {
 		b.lo[i] = math.Max(0, c[i]-side/2)
 		b.hi[i] = math.Min(1, c[i]+side/2)
@@ -49,6 +55,8 @@ func (b *BoxRegion) Feasible() bool {
 // starting from the interval lower bounds, the remaining simplex mass is
 // assigned greedily to the coordinates with the smallest coefficients.
 // ok is false when the region is empty.
+//
+//ordlint:noalloc
 func (b *BoxRegion) MinOver(a geom.Vector) (float64, bool) {
 	if !b.Feasible() {
 		return 0, false
@@ -63,11 +71,21 @@ func (b *BoxRegion) MinOver(a geom.Vector) (float64, bool) {
 	if rem < 0 {
 		return 0, false
 	}
-	order := make([]int, d)
+	if cap(b.order) < d {
+		b.order = make([]int, d)
+	}
+	order := b.order[:d]
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(x, y int) bool { return a[order[x]] < a[order[y]] })
+	// Insertion sort by coefficient: the algorithm sort.Slice itself runs
+	// below 13 elements, so ties keep the order they had, with no closure
+	// or swapper to allocate.
+	for i := 1; i < d; i++ {
+		for j := i; j > 0 && a[order[j]] < a[order[j-1]]; j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
 	for _, i := range order {
 		if rem <= 0 {
 			break
@@ -86,8 +104,17 @@ func (b *BoxRegion) MinOver(a geom.Vector) (float64, bool) {
 // RDominatesBox is RDominates specialised to hypercube regions via the
 // closed-form minimiser: ri scores at least as high as rj everywhere in
 // the box (and strictly higher somewhere).
+//
+//ordlint:noalloc
 func RDominatesBox(b *BoxRegion, ri, rj geom.Vector) bool {
-	diff := ri.Sub(rj)
+	d := len(ri)
+	if cap(b.diff) < d {
+		b.diff = make([]float64, d)
+	}
+	diff := geom.Vector(b.diff[:d])
+	for i := range diff {
+		diff[i] = ri[i] - rj[i]
+	}
 	lo, ok := b.MinOver(diff)
 	if !ok || lo < -1e-12 {
 		return false

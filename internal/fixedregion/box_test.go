@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ordu/internal/geom"
+	"ordu/internal/raceflag"
 )
 
 // TestBoxMinOverMatchesLP cross-checks the closed-form box minimiser
@@ -46,6 +47,29 @@ func TestBoxRDominanceMatchesGeneral(t *testing.T) {
 		}
 		if RDominatesBox(box, ri, rj) != RDominates(box.Region(), ri, rj) {
 			t.Fatalf("iter %d: box and general R-dominance disagree", iter)
+		}
+	}
+}
+
+// TestBoxRDominanceNoAllocs gates RDominatesBox at zero allocations per
+// call on a warm box, on both outcomes: a record that R-dominates (both
+// MinOver calls run) and one that does not.
+func TestBoxRDominanceNoAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	box := NewBox(geom.Vector{0.4, 0.3, 0.2, 0.1}, 0.2)
+	hi := geom.Vector{0.9, 0.8, 0.7, 0.6}
+	lo := geom.Vector{0.5, 0.4, 0.3, 0.2}
+	if !RDominatesBox(box, hi, lo) || RDominatesBox(box, lo, hi) {
+		t.Fatal("fixture records do not R-dominate as expected")
+	}
+	for _, c := range []struct {
+		name   string
+		ri, rj geom.Vector
+	}{{"dominates", hi, lo}, {"does not dominate", lo, hi}} {
+		if n := testing.AllocsPerRun(100, func() { RDominatesBox(box, c.ri, c.rj) }); n != 0 {
+			t.Errorf("RDominatesBox (%s) allocates %.1f times per call, want 0", c.name, n)
 		}
 	}
 }

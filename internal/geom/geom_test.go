@@ -129,6 +129,23 @@ func TestValidatePreference(t *testing.T) {
 	if err := ValidatePreference(Vector{0.9, 0.9}, 2); err == nil {
 		t.Error("off-simplex vector accepted")
 	}
+	// Boundary rows: the sum is checked within SimplexSumTol (1e-6), each
+	// component against -SimplexTol (-1e-9).
+	for _, c := range []struct {
+		w  Vector
+		ok bool
+	}{
+		{Vector{0.5, 0.5 + 5e-7}, true},
+		{Vector{0.5, 0.5 - 5e-7}, true},
+		{Vector{0.5, 0.5 + 2e-6}, false},
+		{Vector{0.5, 0.5 - 2e-6}, false},
+		{Vector{-5e-10, 1}, true},
+		{Vector{-2e-9, 1}, false},
+	} {
+		if err := ValidatePreference(c.w, 2); (err == nil) != c.ok {
+			t.Errorf("ValidatePreference(%v) = %v, want accepted %v", c.w, err, c.ok)
+		}
+	}
 }
 
 func TestMaxSimplexDist(t *testing.T) {

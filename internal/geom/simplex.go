@@ -7,12 +7,20 @@ import (
 	"sync"
 )
 
-// SimplexTol is the tolerance used when validating that a vector lies on the
-// unit simplex.
+// SimplexTol is how far below zero a preference component may fall. A
+// component computed as one minus the others (or projected onto the
+// simplex by a solver working to 1e-10) can land a few rounding errors
+// below zero; a genuinely negative weight is far larger than 1e-9.
 const SimplexTol = 1e-9
 
-// OnSimplex reports whether v is a valid preference vector: non-negative
-// components that sum to one (within SimplexTol).
+// SimplexSumTol is how far a preference vector's sum may stray from one.
+// It is looser than SimplexTol because clients write weights as decimal
+// text with a fixed number of digits: 1/3 written as 0.3333333 three times
+// sums to about 1 - 1e-7.
+const SimplexSumTol = 1e-6
+
+// OnSimplex reports whether v is a valid preference vector: components no
+// lower than -SimplexTol that sum to one within SimplexSumTol.
 func OnSimplex(v Vector) bool {
 	if len(v) == 0 {
 		return false
@@ -24,7 +32,7 @@ func OnSimplex(v Vector) bool {
 		}
 		s += x
 	}
-	return math.Abs(s-1) <= 1e-6
+	return math.Abs(s-1) <= SimplexSumTol
 }
 
 // ValidatePreference returns a descriptive error if w is not a valid

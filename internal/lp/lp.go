@@ -59,6 +59,15 @@ type Problem struct {
 var ErrIteration = errors.New("lp: iteration limit exceeded")
 
 const (
+	// eps is the simplex method's zero threshold: a reduced cost below
+	// -eps enters, only a column entry above eps can pivot, ratios within
+	// eps of each other tie (Bland's rule then takes the lowest basis
+	// index), and phase one's drive-out treats entries within eps as zero.
+	// The tableau starts from O(1) coefficients (simplex rows, region rows
+	// that are differences of records in [0, 1], box bounds) but is
+	// rewritten in place by every pivot, so its rounding error grows with
+	// the pivot count, unlike the QP's, which recomputes its slacks from
+	// the inputs each step. eps is therefore ten times looser than qp's tol.
 	eps     = 1e-9
 	maxIter = 50000
 )

@@ -52,6 +52,18 @@ type Problem struct {
 }
 
 const (
+	// tol is the solver's one zero threshold: a constraint is violated when
+	// its slack is below -tol, a step direction whose squared norm is at
+	// most tol is no direction (the constraint is implied by the active
+	// set), and only a dual ratio term above tol bounds a partial step.
+	// Every input here is O(1): preference weights and record coordinates
+	// in [0, 1], rows that are differences of such records. Double
+	// rounding costs about 1e-16 per operation, so 1e-10 leaves six orders
+	// of magnitude for what accumulates over d <= 8 coordinates and one
+	// solve's active-set steps. It is also ten times finer than
+	// geom.SimplexTol, so a projection onto the simplex (components >=
+	// -tol) passes the preference check. The price: a region without
+	// interior whose faces lie within tol of each other solves as feasible.
 	tol     = 1e-10
 	maxIter = 10000
 )

@@ -156,9 +156,8 @@ func (t *Tree) Level(n NodeRef) int { return int(t.level[n]) }
 // Count returns the number of entries in a node.
 func (t *Tree) Count(n NodeRef) int { return int(t.count[n]) }
 
-// Child returns the i-th child of an internal node.
-//
-//ordlint:bounded — caller contract: i < Count(n), upheld by every traversal loop
+// Child returns the i-th child of an internal node. The caller keeps
+// i < Count(n), as every traversal loop does.
 func (t *Tree) Child(n NodeRef, i int) NodeRef {
 	return NodeRef(t.ents[int(n)*t.entCap+i])
 }
@@ -183,19 +182,17 @@ func (t *Tree) ChildHi(n NodeRef, i int) geom.Vector {
 	return geom.Vector(t.rects[rb : rb+t.dim : rb+t.dim])
 }
 
-// LeafID returns the record id of the i-th entry of a leaf.
-//
-//ordlint:bounded — caller contract: i < Count(n), upheld by every traversal loop
+// LeafID returns the record id of the i-th entry of a leaf. The caller
+// keeps i < Count(n), as every traversal loop does.
 func (t *Tree) LeafID(n NodeRef, i int) int {
 	return t.idAt[t.ents[int(n)*t.entCap+i]]
 }
 
-// LeafPoint returns the point of the i-th entry of a leaf. The vector
-// aliases the packed chunk storage: it stays valid until the record is
-// deleted (slot stability), but must be treated as read-only.
+// LeafPoint returns the point of the i-th entry of a leaf (i < Count(n)).
+// The vector aliases the packed chunk storage: it stays valid until the
+// record is deleted (slot stability), but must be treated as read-only.
 //
 //ordlint:borrows — the vector aliases the packed chunk storage
-//ordlint:bounded — caller contract: i < Count(n), upheld by every traversal loop
 func (t *Tree) LeafPoint(n NodeRef, i int) geom.Vector {
 	return t.slotVec(t.ents[int(n)*t.entCap+i])
 }
@@ -246,8 +243,6 @@ func (t *Tree) slotVec(slot int32) geom.Vector {
 // allocSlot copies p into a free (or fresh) slot and indexes it under id.
 // Growing past the int32 slot capacity fails with narrow.ErrTooLarge
 // before the arena wraps.
-//
-//ordlint:handle slot — the returned index addresses the packed point runs
 func (t *Tree) allocSlot(id int, p geom.Vector) (int32, error) {
 	var slot int32
 	if k := len(t.freeSlots); k > 0 {
@@ -397,7 +392,7 @@ func (t *Tree) insert(n NodeRef, e insEntry, lvl int) NodeRef {
 			best, bestEnl, bestArea = i, enl, area
 		}
 	}
-	child := NodeRef(t.ents[t.eb(n)+best]) //ordlint:allow stridebound — best is an entry index scanned under i < cnt above
+	child := NodeRef(t.ents[t.eb(n)+best])
 	split := t.insert(child, e, lvl)
 	t.setEntryRectFromChild(n, best)
 	if split >= 0 {
@@ -412,9 +407,8 @@ func (t *Tree) insert(n NodeRef, e insEntry, lvl int) NodeRef {
 	return NilNode
 }
 
-// writeEntry stores e as entry i of node n.
-//
-//ordlint:bounded — caller contract: i < entCap, the callers write within the split/overflow window
+// writeEntry stores e as entry i of node n. The callers keep i < entCap:
+// they write within the split/overflow window.
 func (t *Tree) writeEntry(n NodeRef, i int, e insEntry) {
 	if e.child >= 0 {
 		t.ents[t.eb(n)+i] = int32(e.child)
@@ -443,9 +437,8 @@ func (t *Tree) entryEnlArea(n NodeRef, i int, lo, hi []float64) (enl, area float
 	return ua - area, area
 }
 
-// setEntryRectFromChild recomputes entry i's MBR from its child node.
-//
-//ordlint:bounded — caller contract: i < Count(n), the entry was just written or scanned
+// setEntryRectFromChild recomputes entry i's MBR from its child node. The
+// callers keep i < Count(n): the entry was just written or scanned.
 func (t *Tree) setEntryRectFromChild(n NodeRef, i int) {
 	rb := t.rb(n, i)
 	child := NodeRef(t.ents[t.eb(n)+i])
@@ -704,9 +697,8 @@ func (t *Tree) remove(n NodeRef, id int, p geom.Vector, orphans *[]orphan) bool 
 }
 
 // removeEntryAt deletes entry i of node n, shifting later entries (and
-// their rects, at internal nodes) down one position.
-//
-//ordlint:bounded — caller contract: i < Count(n), i comes from a match scan over the node
+// their rects, at internal nodes) down one position. The callers keep
+// i < Count(n): i comes from a match scan over the node.
 func (t *Tree) removeEntryAt(n NodeRef, i int) {
 	cnt := int(t.count[n])
 	eb := t.eb(n)

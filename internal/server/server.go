@@ -198,14 +198,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, op string) 
 	var resp *QueryResponse
 	switch op {
 	case "ord":
-		res, qerr := nd.ds.ORDCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockhold — reader lock by design: ORDCtx returns borrows (//ordlint:borrows) that borrowck keeps inside this region, so the lock must span query, marshal and cache fill; ctx bounds the hold time
+		res, qerr := nd.ds.ORDCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockmode — reader lock by design: ORDCtx returns borrows (//ordlint:borrows) that borrowck keeps inside this region, so the lock must span query, marshal and cache fill; ctx bounds the hold time
 		if qerr != nil {
 			err = qerr
 		} else {
 			resp = NewORDResponse(res)
 		}
 	case "oru":
-		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockhold — reader lock by design: ORUCtx returns borrows the lock must cover; see the ORD arm above
+		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockmode — reader lock by design: ORUCtx returns borrows the lock must cover; see the ORD arm above
 		if qerr != nil {
 			err = qerr
 		} else {

@@ -598,6 +598,36 @@ func TestFineGrainedCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestUpdateKeepTestCoversOutgoingIncarnation pins that an update's
+// keep-test counts the dominators of the record's old coordinates before
+// the write re-sites it: moving the chain's leader deep into the interior
+// must drop every entry, although the new position has 29 dominators.
+func TestUpdateKeepTestCoversOutgoingIncarnation(t *testing.T) {
+	s := New(Config{})
+	s.AddDataset("diag", diagDataset(t, 30))
+	h := s.Handler()
+	q2 := `{"dataset":"diag","w":[0.4,0.3,0.3],"k":2,"m":2}`
+	if rec := do(t, h, "POST", "/query/ord", q2); rec.Code != 200 || rec.Header().Get("X-Cache") != "MISS" {
+		t.Fatalf("warm-up query: %d %s %s", rec.Code, rec.Header().Get("X-Cache"), rec.Body.String())
+	}
+	rec := do(t, h, "POST", "/datasets/diag/points", `{"id":0,"point":[0.01,0.01,0.01]}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("update: %d %s", rec.Code, rec.Body.String())
+	}
+	if up := decode[PointWriteResponse](t, rec); up.CacheDropped != 1 {
+		t.Fatalf("moving the leader dropped %d entries, want 1", up.CacheDropped)
+	}
+	q := do(t, h, "POST", "/query/ord", q2)
+	if q.Header().Get("X-Cache") != "MISS" {
+		t.Fatal("stale entry served after the leader moved")
+	}
+	for _, r := range decode[QueryResponse](t, q).Records {
+		if r.ID == 0 {
+			t.Fatalf("moved record 0 still in the k=2 answer: %s", q.Body.String())
+		}
+	}
+}
+
 // TestConcurrentMutationsAndQueries interleaves writers and readers on one
 // dataset; run under -race (make test does) it checks the per-dataset lock
 // discipline end to end.

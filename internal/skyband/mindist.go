@@ -300,7 +300,7 @@ func InflectionRadiusInPlace(mindists []float64, k int) float64 {
 	if len(mindists) < k {
 		return 0
 	}
-	slices.Sort(mindists)
+	slices.Sort(mindists) //ordlint:allow noalloc — slices.Sort is an in-place pdqsort
 	return mindists[len(mindists)-k]
 }
 

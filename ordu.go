@@ -159,8 +159,6 @@ func (ds *Dataset) Stats() collection.Stats { return ds.col.Stats() }
 // Insert adds a record and returns its id. The paper's operators need no
 // precomputation beyond the index, so updates are immediately visible to
 // subsequent queries (Section 3).
-//
-//ordlint:mutates — the insert may split tree nodes, invalidating outstanding handles and record views
 func (ds *Dataset) Insert(record []float64) (int, error) {
 	if len(record) != ds.Dim() {
 		return 0, fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
@@ -175,8 +173,6 @@ func (ds *Dataset) Insert(record []float64) (int, error) {
 // InsertID adds a record under a caller-chosen id; it fails when the id is
 // already live (collection.ErrDuplicateID) or the record is malformed
 // (collection.ErrBadPoint).
-//
-//ordlint:mutates — the insert may split tree nodes, invalidating outstanding handles and record views
 func (ds *Dataset) InsertID(id int, record []float64) error {
 	if len(record) != ds.Dim() {
 		return fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
@@ -187,8 +183,6 @@ func (ds *Dataset) InsertID(id int, record []float64) error {
 // Update replaces the record stored under a live id; it fails when the id
 // is unknown (collection.ErrUnknownID) or the record is malformed
 // (collection.ErrBadPoint).
-//
-//ordlint:mutates — the update rewrites the record's slot and may rebalance the tree
 func (ds *Dataset) Update(id int, record []float64) error {
 	if len(record) != ds.Dim() {
 		return fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
@@ -198,8 +192,6 @@ func (ds *Dataset) Update(id int, record []float64) error {
 
 // Upsert inserts the record when id is free and updates it when live,
 // reporting which happened.
-//
-//ordlint:mutates — either path mutates the tree, invalidating outstanding handles and record views
 func (ds *Dataset) Upsert(id int, record []float64) (updated bool, err error) {
 	if len(record) != ds.Dim() {
 		return false, fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
@@ -208,8 +200,6 @@ func (ds *Dataset) Upsert(id int, record []float64) (updated bool, err error) {
 }
 
 // Delete removes a record by id, reporting whether it existed.
-//
-//ordlint:mutates — condensing underfull nodes reassigns handles; the slot returns to the free list
 func (ds *Dataset) Delete(id int) bool { return ds.col.Delete(id) }
 
 // CountDominators returns how many records strictly dominate the given
