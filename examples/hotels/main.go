@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"math"
 
 	"ordu"
 	"ordu/internal/data"
@@ -21,21 +22,25 @@ func main() {
 	// location score, value for money, guest rating, amenities.
 	raw := data.Hotel(50_000, 42)
 
-	// Hard constraint: only hotels with location score at least 0.5 and
-	// value at least 0.4 (a range predicate applied before the operator).
-	var records [][]float64
-	var keptIDs []int
+	records := make([][]float64, len(raw))
 	for i, h := range raw {
-		if h[0] >= 0.5 && h[1] >= 0.4 {
-			records = append(records, h)
-			keptIDs = append(keptIDs, i)
-		}
+		records[i] = h
 	}
-	ds, err := ordu.NewDataset(records)
+	inventory, err := ordu.NewDataset(records)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%d of %d hotels satisfy the range predicate\n", ds.Len(), len(raw))
+
+	// Hard constraint: only hotels with location score at least 0.5 and
+	// value at least 0.4 (a range predicate applied before the operator).
+	// Filter keeps the records inside the inclusive bounds, under fresh
+	// ids; keptIDs maps them back to inventory ids.
+	inf := math.Inf(1)
+	ds, keptIDs, err := inventory.Filter([]float64{0.5, 0.4, -inf, -inf}, []float64{inf, inf, inf, inf})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("%d of %d hotels satisfy the range predicate\n", ds.Len(), inventory.Len())
 
 	// The booking history suggests this user cares mostly about location
 	// and rating — but the estimate is rough, so we relax it with ORU.

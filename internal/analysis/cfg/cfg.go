@@ -37,7 +37,12 @@ type Block struct {
 	Kind string
 	// Nodes are the AST nodes of the block in execution order. For loop
 	// headers the range/cond expression appears here, so per-iteration
-	// assignments (range key/value) are visible to dataflow.
+	// assignments (range key/value) are visible to dataflow. Compound
+	// statements appear as shells without their bodies: a range header
+	// holds a copy of the RangeStmt with an empty body, and a select's
+	// block a copy of the SelectStmt keeping only its emptied default
+	// clause, so walking a node never reaches a statement that also sits
+	// in a block of its own.
 	Nodes []ast.Node
 	// Succs are the possible successor blocks.
 	Succs []*Block
@@ -293,10 +298,13 @@ func (b *builder) stmt(s ast.Stmt, enclosingLabel string) {
 	case *ast.RangeStmt:
 		head := b.newBlock("range.head")
 		b.startBlock(head)
-		// The range statement itself sits in the header: key/value are
-		// (re)assigned once per iteration, which kill-style dataflow
-		// (poolpair) relies on.
-		b.add(s)
+		// The header carries the range clause without its body: key and
+		// value are (re)assigned once per iteration (a channel is received
+		// from), which kill-style dataflow (poolpair) relies on, while the
+		// body's statements live in their own blocks only.
+		clause := *s
+		clause.Body = &ast.BlockStmt{Lbrace: s.Body.Lbrace, Rbrace: s.Body.Rbrace}
+		b.add(&clause)
 		done := b.newBlock("range.done")
 		body := b.newBlock("range.body")
 		b.edge(head, body)
@@ -329,10 +337,20 @@ func (b *builder) stmt(s ast.Stmt, enclosingLabel string) {
 		b.switchBody(s.Body, enclosingLabel, func(cc *ast.CaseClause) {})
 
 	case *ast.SelectStmt:
+		// The select itself heads its comm blocks, as a shell that keeps
+		// only its default clause, emptied: a check sees whether it may
+		// block (an empty select blocks forever) without seeing the clauses
+		// twice.
+		shell := &ast.SelectStmt{Select: s.Select, Body: &ast.BlockStmt{Lbrace: s.Body.Lbrace, Rbrace: s.Body.Rbrace}}
+		for _, c := range s.Body.List {
+			if comm := c.(*ast.CommClause); comm.Comm == nil {
+				shell.Body.List = []ast.Stmt{&ast.CommClause{Case: comm.Case, Colon: comm.Colon}}
+			}
+		}
+		b.add(shell)
 		head := b.cur
 		join := b.newBlock("select.join")
 		b.loops = append(b.loops, loopCtx{label: enclosingLabel, breakTo: join})
-		hasDefault := false
 		for _, c := range s.Body.List {
 			comm := c.(*ast.CommClause)
 			blk := b.newBlock("select.comm")
@@ -340,13 +358,10 @@ func (b *builder) stmt(s ast.Stmt, enclosingLabel string) {
 			b.cur = blk
 			if comm.Comm != nil {
 				b.stmt(comm.Comm, "")
-			} else {
-				hasDefault = true
 			}
 			b.stmtList(comm.Body)
 			b.edge(b.cur, join)
 		}
-		_ = hasDefault // a select with no default may block, but always exits to join when it proceeds
 		b.loops = b.loops[:len(b.loops)-1]
 		b.cur = join
 

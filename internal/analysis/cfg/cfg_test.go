@@ -162,12 +162,16 @@ func TestRange(t *testing.T) {
 	if !hasKind(succKinds(t, g, "range.body"), "range.head") {
 		t.Errorf("range.body does not loop back\n%s", g)
 	}
-	// The RangeStmt itself must sit in the header so per-iteration
-	// key/value assignment is visible to dataflow.
+	// The range clause must sit in the header so per-iteration key/value
+	// assignment is visible to dataflow, without the body, whose
+	// statements belong to range.body alone.
 	var found bool
 	for _, n := range g.BlocksOf("range.head")[0].Nodes {
-		if _, ok := n.(*ast.RangeStmt); ok {
+		if rs, ok := n.(*ast.RangeStmt); ok {
 			found = true
+			if len(rs.Body.List) != 0 {
+				t.Errorf("range.head carries the loop body\n%s", g)
+			}
 		}
 	}
 	if !found {
@@ -252,6 +256,25 @@ func TestSelect(t *testing.T) {
 		if !hasKind([]string{c.Succs[0].Kind}, "select.join") {
 			t.Errorf("comm block does not join\n%s", g)
 		}
+	}
+	// The select heads its comm blocks as a shell holding only its
+	// default clause, with no statements of its own.
+	var shell *ast.SelectStmt
+	for _, n := range g.Entry.Nodes {
+		if ss, ok := n.(*ast.SelectStmt); ok {
+			shell = ss
+		}
+	}
+	if shell == nil {
+		t.Fatalf("the select is not recorded before its comm blocks\n%s", g)
+	}
+	if l := shell.Body.List; len(l) != 1 || l[0].(*ast.CommClause).Comm != nil || l[0].(*ast.CommClause).Body != nil {
+		t.Errorf("select shell clauses = %#v, want one empty default", l)
+	}
+	// An empty select is recorded too: it blocks forever.
+	g = build(t, `select {}`)
+	if len(g.Entry.Nodes) != 1 {
+		t.Fatalf("empty select: entry nodes = %d, want the select\n%s", len(g.Entry.Nodes), g)
 	}
 }
 

@@ -158,9 +158,9 @@ func eventsIn(n ast.Node, info *types.Info, obj types.Object,
 		case nil:
 			return
 		case *ast.RangeStmt:
-			// The cfg range header carries the whole RangeStmt; its body
-			// statements live in their own blocks, so only the ranged
-			// expression belongs to the header.
+			// The cfg range header carries the range clause without its
+			// body; of the clause, only the ranged expression is read (key
+			// and value are stores).
 			visit(x.X, false)
 			return
 		case *ast.FuncLit:

@@ -2,7 +2,9 @@
 // types: writers (//ordlint:writer plus the field-write derivation) need
 // the write lock on every path, readers at least the read lock, fresh
 // unpublished objects are exempt until they escape, RLock→Lock upgrades
-// self-deadlock, and unlock modes must pair with their acquisition.
+// self-deadlock, and unlock modes must pair with their acquisition. Its
+// control-flow cases pin that a range body is seen once and an empty
+// select is seen at all.
 package lockmode
 
 import "sync"
@@ -126,6 +128,26 @@ func (s *server) mismatchR(id int) {
 	s.mu.Lock()
 	s.ds.Insert(id)
 	s.mu.RUnlock() // want "RUnlock on s.mu pairs with Lock on some path; use Unlock"
+}
+
+// relockInLoop re-acquires the read lock inside a range body. The body
+// is seen once, in its own blocks, so the finding is reported once.
+func (s *server) relockInLoop(ids []int) int {
+	n := 0
+	for range ids {
+		s.mu.RLock()
+		s.mu.RLock() // want "s.mu is locked while already held on some path: self-deadlock"
+		n += s.ds.Len()
+		s.mu.RUnlock()
+		s.mu.RUnlock()
+	}
+	return n
+}
+
+// parkUnderLock blocks forever in an empty select with the lock held.
+func (s *server) parkUnderLock() {
+	s.mu.Lock()
+	select {} // want "select without default while holding s.mu"
 }
 
 // allowed documents a deliberate exception in place.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ordu/internal/geom"
+	"ordu/internal/region"
 	"ordu/internal/rtree"
 	"ordu/internal/skyband"
 )
@@ -346,7 +347,8 @@ func TestORURegionsAreCorrect(t *testing.T) {
 			t.Fatalf("trial %d: no feasible m at all", trial)
 		}
 		for ri, reg := range res.Regions {
-			v, ok := reg.Region.FeasiblePoint()
+			var ws region.Workspace
+			v, ok := reg.Region.FeasiblePointWS(&ws)
 			if !ok {
 				t.Fatalf("trial %d: finalized region %d empty", trial, ri)
 			}

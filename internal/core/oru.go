@@ -193,11 +193,11 @@ func (e *explorer) seed() bool {
 	}
 	at := e.w
 	if e.clip != nil && !e.clip.Contains(at) {
-		p, ok := e.clip.FeasiblePoint()
+		p, ok := e.clip.FeasiblePointWS(&e.ws.reg)
 		if !ok {
 			return false
 		}
-		at = p
+		at = p // aliases e.ws.reg; read only before pushL1 resolves on it
 	}
 	best, bestScore := -1, math.Inf(-1)
 	for _, id := range l0.MemberIDs {
@@ -649,7 +649,8 @@ func (e *explorer) floodMisses(n *regionNode, ws *exploreWS) bool {
 			return miss
 		}
 	}
-	return n.reg.ProbeEmptyAt(n.witness, ws.hs, &ws.reg)
+	_, _, ok := n.reg.ProbeMinDist(ws.hs, n.witness, &ws.reg)
+	return !ok
 }
 
 // scoredID is a union member with its score at a region's witness.

@@ -150,7 +150,7 @@ func TestPartitionPruneSound(t *testing.T) {
 								rows = append(rows, region.Beat(ex.layers.Point(s), ex.layers.Point(o)))
 							}
 						}
-						if !nd.reg.ProbeEmptyAt(nd.witness, rows, &ws.reg) {
+						if _, _, ok := nd.reg.ProbeMinDist(rows, nd.witness, &ws.reg); ok {
 							t.Fatalf("%s: top %v: pruned member %d has a non-empty child against the union %v", name, nd.top, s, all)
 						}
 					}
@@ -162,7 +162,8 @@ func TestPartitionPruneSound(t *testing.T) {
 								continue
 							}
 							settled++
-							if empty := nd.reg.ProbeEmptyAt(nd.witness, hs, &ws.reg); empty != miss {
+							_, _, ok := nd.reg.ProbeMinDist(hs, nd.witness, &ws.reg)
+							if empty := !ok; empty != miss {
 								t.Fatalf("%s: top %v: next-layer member %d: screen says miss=%v, the QP probe empty=%v", name, nd.top, id, miss, empty)
 							}
 						}

@@ -11,16 +11,13 @@ import (
 	"strings"
 )
 
-// Sentinel errors of the CSV loaders. Callers feeding live datasets match
-// these with errors.Is to turn a bad upload into a 4xx instead of a 500.
+// Sentinel errors of the CSV loader, for callers matching with errors.Is.
 var (
 	// ErrNonFinite reports a NaN or +/-Inf cell. strconv.ParseFloat accepts
 	// the spellings "NaN" and "Inf", but no dominance or mindist kernel is
-	// defined over non-finite coordinates, so the loaders reject them at
+	// defined over non-finite coordinates, so the loader rejects them at
 	// the boundary.
 	ErrNonFinite = errors.New("data: non-finite value")
-	// ErrDuplicateID reports a repeated id in a keyed CSV.
-	ErrDuplicateID = errors.New("data: duplicate id")
 	// ErrNoRecords reports an empty input.
 	ErrNoRecords = errors.New("data: no records")
 )
@@ -65,62 +62,6 @@ func ParseCSV(r io.Reader) ([][]float64, error) {
 		return nil, ErrNoRecords
 	}
 	return out, nil
-}
-
-// LoadKeyedCSV reads an id-keyed records file: the first column is an
-// integer record id, the remaining columns are the numeric attributes.
-// Duplicate ids fail with ErrDuplicateID and non-finite attributes with
-// ErrNonFinite — the contract live-dataset ingestion relies on, since a
-// mutable collection addresses records by id.
-func LoadKeyedCSV(path string) ([]int, [][]float64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	ids, recs, err := ParseKeyedCSV(f)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return ids, recs, nil
-}
-
-// ParseKeyedCSV parses id-keyed CSV records from r (see LoadKeyedCSV).
-func ParseKeyedCSV(r io.Reader) ([]int, [][]float64, error) {
-	rows, err := csv.NewReader(r).ReadAll()
-	if err != nil {
-		return nil, nil, err
-	}
-	ids := make([]int, 0, len(rows))
-	recs := make([][]float64, 0, len(rows))
-	seen := make(map[int]struct{}, len(rows))
-	for i, row := range rows {
-		if len(row) < 2 {
-			return nil, nil, fmt.Errorf("row %d: want an id column and at least one attribute, got %d columns", i+1, len(row))
-		}
-		id, err := strconv.Atoi(strings.TrimSpace(row[0]))
-		if err != nil {
-			return nil, nil, fmt.Errorf("row %d: bad id %q: %v", i+1, row[0], err)
-		}
-		if _, dup := seen[id]; dup {
-			return nil, nil, fmt.Errorf("row %d: %w: %d", i+1, ErrDuplicateID, id)
-		}
-		seen[id] = struct{}{}
-		rec := make([]float64, len(row)-1)
-		for j, cell := range row[1:] {
-			v, err := parseCell(cell, i, j+1)
-			if err != nil {
-				return nil, nil, err
-			}
-			rec[j] = v
-		}
-		ids = append(ids, id)
-		recs = append(recs, rec)
-	}
-	if len(recs) == 0 {
-		return nil, nil, ErrNoRecords
-	}
-	return ids, recs, nil
 }
 
 // parseCell parses one CSV cell into a finite float64. i and j are

@@ -78,75 +78,3 @@ func TestParseCSV(t *testing.T) {
 		}
 	})
 }
-
-func TestParseKeyedCSV(t *testing.T) {
-	cases := []struct {
-		name     string
-		in       string
-		wantIDs  []int
-		wantRecs [][]float64
-		wantErr  error
-	}{
-		{
-			name:     "keyed records",
-			in:       "7,0.1,0.2\n3,0.3,0.4\n",
-			wantIDs:  []int{7, 3},
-			wantRecs: [][]float64{{0.1, 0.2}, {0.3, 0.4}},
-		},
-		{
-			name:    "duplicate id",
-			in:      "1,0.1\n2,0.2\n1,0.3\n",
-			wantErr: ErrDuplicateID,
-		},
-		{
-			name:    "non-finite attribute",
-			in:      "1,0.1\n2,Inf\n",
-			wantErr: ErrNonFinite,
-		},
-		{
-			name:    "empty input",
-			in:      "",
-			wantErr: ErrNoRecords,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ids, recs, err := ParseKeyedCSV(strings.NewReader(tc.in))
-			if tc.wantErr != nil {
-				if !errors.Is(err, tc.wantErr) {
-					t.Fatalf("ParseKeyedCSV error = %v, want %v", err, tc.wantErr)
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("ParseKeyedCSV: %v", err)
-			}
-			if len(ids) != len(tc.wantIDs) {
-				t.Fatalf("got %d ids, want %d", len(ids), len(tc.wantIDs))
-			}
-			for i := range ids {
-				if ids[i] != tc.wantIDs[i] {
-					t.Fatalf("id %d: got %d, want %d", i, ids[i], tc.wantIDs[i])
-				}
-			}
-			for i := range recs {
-				for j := range recs[i] {
-					if recs[i][j] != tc.wantRecs[i][j] {
-						t.Fatalf("record %d col %d: got %v, want %v", i, j, recs[i][j], tc.wantRecs[i][j])
-					}
-				}
-			}
-		})
-	}
-
-	t.Run("bad id", func(t *testing.T) {
-		if _, _, err := ParseKeyedCSV(strings.NewReader("x,0.1\n")); err == nil {
-			t.Fatal("ParseKeyedCSV accepted a non-integer id")
-		}
-	})
-	t.Run("missing attribute columns", func(t *testing.T) {
-		if _, _, err := ParseKeyedCSV(strings.NewReader("1\n")); err == nil {
-			t.Fatal("ParseKeyedCSV accepted a row with only an id")
-		}
-	})
-}

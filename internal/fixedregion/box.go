@@ -7,6 +7,25 @@ import (
 	"ordu/internal/region"
 )
 
+// The fixed-region tolerances. Coordinates and preference vectors are of
+// order 1 (the unit cube and the simplex).
+const (
+	// rdomTol is the rounding slack of the R-dominance tests and of the
+	// box's simplex test: a minimum score difference above -rdomTol counts
+	// as non-negative, a maximum above rdomTol as strictly positive, and
+	// bound sums within rdomTol of 1 meet the simplex. In the closed form
+	// each is a sum of d terms of order 1, whose rounding is a few 1e-16,
+	// so rdomTol leaves three orders of headroom. The LP reference
+	// RDominates shares it, so both tests decide a pair the same way
+	// (TestBoxRDominanceMatchesGeneral).
+	rdomTol = 1e-12
+	// massTol is the simplex mass MinOver's greedy fill may leave over.
+	// Feasible has already checked that the upper bounds sum to at least
+	// 1 - rdomTol, so the fill leaves at most about rdomTol plus rounding;
+	// massTol sits three orders above, so rounding never trips it.
+	massTol = 1e-9
+)
+
 // BoxRegion is a hypercube preference region around a centre, intersected
 // with the simplex. It carries the interval bounds explicitly so that
 // linear minimisation — the workhorse of R-dominance tests — runs in
@@ -48,7 +67,7 @@ func (b *BoxRegion) Feasible() bool {
 		sumLo += b.lo[i]
 		sumHi += b.hi[i]
 	}
-	return sumLo <= 1+1e-12 && sumHi >= 1-1e-12
+	return sumLo <= 1+rdomTol && sumHi >= 1-rdomTol
 }
 
 // MinOver minimises a.v over the box-simplex intersection in closed form:
@@ -95,7 +114,7 @@ func (b *BoxRegion) MinOver(a geom.Vector) (float64, bool) {
 		val += a[i] * take
 		rem -= take
 	}
-	if rem > 1e-9 {
+	if rem > massTol {
 		return 0, false // box too small to absorb the simplex mass
 	}
 	return val, true
@@ -116,7 +135,7 @@ func RDominatesBox(b *BoxRegion, ri, rj geom.Vector) bool {
 		diff[i] = ri[i] - rj[i]
 	}
 	lo, ok := b.MinOver(diff)
-	if !ok || lo < -1e-12 {
+	if !ok || lo < -rdomTol {
 		return false
 	}
 	for i := range diff {
@@ -126,5 +145,5 @@ func RDominatesBox(b *BoxRegion, ri, rj geom.Vector) bool {
 	if !ok {
 		return false
 	}
-	return -hi > 1e-12
+	return -hi > rdomTol
 }

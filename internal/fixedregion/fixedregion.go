@@ -55,7 +55,7 @@ func MinOver(reg region.Region, a geom.Vector) (float64, bool) {
 func RDominates(reg region.Region, ri, rj geom.Vector) bool {
 	diff := ri.Sub(rj)
 	lo, ok := MinOver(reg, diff)
-	if !ok || lo < -1e-12 {
+	if !ok || lo < -rdomTol {
 		return false
 	}
 	// Strictness: the maximum of diff.v must be positive.
@@ -64,7 +64,7 @@ func RDominates(reg region.Region, ri, rj geom.Vector) bool {
 	if !ok {
 		return false
 	}
-	return -hi > 1e-12
+	return -hi > rdomTol
 }
 
 // rPruner prunes points R-dominated by at least K registered records,
@@ -134,6 +134,13 @@ func expectedSkybandSize(n, d, k int) float64 {
 	return num / den
 }
 
+// sideTol is the width at which trialLoop's bracket on the hypercube side
+// counts as collapsed. The bracket's ends give outputs below and above
+// m's tolerance window (or sit at the domain's bounds), so inside a
+// bracket that narrow the output jumps across the window at one threshold
+// side, and no further resize can land in it.
+const sideTol = 1e-9
+
 // trialLoop drives the R re-estimation: run computes the output size for a
 // hypercube side; the loop stops when the size is within tolFrac of m or
 // the side interval collapses.
@@ -159,7 +166,7 @@ func trialLoop(w geom.Vector, n, d, k, m int, tolFrac float64, run func(side flo
 		} else {
 			hi = side
 		}
-		if hi-lo < 1e-9 {
+		if hi-lo < sideTol {
 			return side, trials, out
 		}
 		// Proportional re-estimation as in the paper, kept inside the

@@ -63,8 +63,8 @@ type facet struct {
 // engine behind ORU's layers, its L_upd hulls and the incremental hull of
 // its rho-bar estimation (Section 5.3); from PairwiseDim up only tests and
 // ComputeUpper use it. A Builder reuses its insertion scratch
-// (visible/horizon lists, ridge-matching maps, facet structs from the free
-// list) across Add calls; it is not goroutine-safe.
+// (visible/horizon lists, the ridge-matching map, facet structs from the
+// free list) across Add calls; it is not goroutine-safe.
 type Builder struct {
 	dim     int
 	pts     [][]float64 // jittered working coordinates; sentinels first
@@ -81,8 +81,7 @@ type Builder struct {
 	visible    []*facet
 	horizon    []ridge
 	newFacets  []*facet
-	pendingA   map[ridgeKey]facetSlot // allocation-free array keys
-	pendingP   map[uint64]facetSlot   // packed keys for d <= 6 (fast64 map path)
+	pending    map[ridgeKey]facetSlot // sub-ridges awaiting their partner facet
 	fpts       [][]float64
 	ridgeVerts []int // backing storage for the current horizon's ridge verts
 	vertBuf    []int
@@ -99,13 +98,11 @@ type Builder struct {
 	top    topTest
 	nbrPts [][]float64
 
-	// MemberCount/Upper scratch: per-internal-index generation
+	// Membership-pass scratch (members): per-internal-index generation
 	// stamps, the packed co-facet pair list, and the member ordering buffer.
 	gen         int
-	nbrGen      int
 	fastStamp   []int
 	hullStamp   []int
-	nbrStamp    []int
 	nbrBuf      []int
 	memberStamp []int
 	pairBuf     []int64
@@ -473,27 +470,13 @@ func (b *Builder) insert(pi int) {
 	b.ridgeVerts = rv
 	// Build new facets: ridge + p.
 	newFacets := b.newFacets[:0]
-	// The pending maps take a sorted sub-ridge (d-1 vertices including p) to
-	// the facet+slot waiting for its partner. Every pending ridge contains
-	// p, so p is omitted from the packed key: up to d = 6 the remaining <= 4
-	// sorted vertex indices pack into one uint64 (p is the newest and hence
-	// highest index, so all indices fit 16 bits whenever p does), taking the
-	// runtime's fast 64-bit map path. Otherwise the d-1 <= 8 ridge vertices
-	// fit a fixed int32 array key, which hashes without allocating.
-	packKeys := b.dim <= 6 && pi < (1<<16)
-	if packKeys {
-		if b.pendingP == nil {
-			b.pendingP = make(map[uint64]facetSlot)
-		}
-		clear(b.pendingP)
-	} else {
-		if b.pendingA == nil {
-			b.pendingA = make(map[ridgeKey]facetSlot)
-		}
-		clear(b.pendingA)
+	// The pending map takes a sorted sub-ridge (d-1 <= 8 vertices including
+	// p) to the facet+slot waiting for its partner.
+	if b.pending == nil {
+		b.pending = make(map[ridgeKey]facetSlot)
 	}
-	pendingA := b.pendingA
-	pendingP := b.pendingP
+	clear(b.pending)
+	pending := b.pending
 	for _, r := range horizon {
 		verts := append(append(b.vertBuf[:0], rv[r.lo:r.hi]...), pi)
 		b.vertBuf = verts[:0]
@@ -523,24 +506,13 @@ func (b *Builder) insert(pi int) {
 			if v == pi {
 				continue
 			}
-			if packKeys {
-				key := packedRidgeKeyOf(nf.verts, i, pi)
-				if other, ok := pendingP[key]; ok {
-					nf.neighbors[i] = other.f
-					other.f.neighbors[other.i] = nf
-					delete(pendingP, key)
-				} else {
-					pendingP[key] = facetSlot{f: nf, i: i}
-				}
-				continue
-			}
 			key := ridgeKeyOf(nf.verts, i)
-			if other, ok := pendingA[key]; ok {
+			if other, ok := pending[key]; ok {
 				nf.neighbors[i] = other.f
 				other.f.neighbors[other.i] = nf
-				delete(pendingA, key)
+				delete(pending, key)
 			} else {
-				pendingA[key] = facetSlot{f: nf, i: i}
+				pending[key] = facetSlot{f: nf, i: i}
 			}
 		}
 		newFacets = append(newFacets, nf)
@@ -604,25 +576,6 @@ func ridgeKeyOf(verts []int, skip int) ridgeKey {
 	return key
 }
 
-// packedRidgeKeyOf packs the sub-ridge of verts that skips index skip and
-// omits vertex pi (present in every pending ridge) into one uint64, 16 bits
-// per index. Every pending key of one insert batch has exactly d-2 entries
-// (d sorted verts minus the skipped one minus pi), so equal keys mean equal
-// ridges with no length ambiguity. Callers guarantee len(verts) <= 6 and
-// every index < 1<<16.
-//
-//ordlint:noalloc
-func packedRidgeKeyOf(verts []int, skip int, pi int) uint64 {
-	key := uint64(0)
-	for k, v := range verts {
-		if k == skip || v == pi {
-			continue
-		}
-		key = key<<16 | uint64(v)
-	}
-	return key
-}
-
 // matchesExcept reports whether verts with index skip removed equals want
 // (both sorted).
 func matchesExcept(verts []int, skip int, want []int) bool {
@@ -643,87 +596,15 @@ func matchesExcept(verts []int, skip int, want []int) bool {
 }
 
 // MemberCount counts the real points currently on the upper hull without
-// extracting it: one facet scan stamps the certain members (vertices of a
-// facet with non-negative normal), and only the rare boundary-confined
-// vertices run the QP membership test, with adjacency gathered on demand.
-// Repeated calls reuse the builder's stamp buffers — this is the polling
-// primitive of the rho-bar estimation loop below PairwiseDim.
+// extracting it: it runs Upper's membership pass and skips the row
+// emission. Repeated calls reuse the builder's stamp and pair buffers —
+// this is the polling primitive of the rho-bar estimation loop below
+// PairwiseDim.
 func (b *Builder) MemberCount() int {
 	if !b.started {
 		return 0
 	}
-	n := len(b.pts)
-	if cap(b.fastStamp) < n {
-		b.fastStamp = make([]int, 2*n)
-		b.hullStamp = make([]int, 2*n)
-		b.nbrStamp = make([]int, 2*n)
-	}
-	fast := b.fastStamp[:n]
-	hullv := b.hullStamp[:n]
-	b.gen++
-	gen := b.gen
-	for _, f := range b.facets {
-		if f.dead {
-			continue
-		}
-		nonneg := true
-		for _, x := range f.normal {
-			if x < -normalSignTol {
-				nonneg = false
-				break
-			}
-		}
-		for _, v := range f.verts {
-			if b.ids[v] < 0 {
-				continue
-			}
-			hullv[v] = gen
-			if nonneg {
-				fast[v] = gen
-			}
-		}
-	}
-	count := 0
-	for v := 0; v < n; v++ {
-		if hullv[v] != gen {
-			continue
-		}
-		if fast[v] == gen {
-			count++
-			continue
-		}
-		// Boundary candidate: gather its co-facet neighbours (deduped by a
-		// per-candidate stamp) and run the exact feasibility test.
-		nbrs := b.nbrBuf[:0]
-		nstamp := b.nbrStamp[:n]
-		b.nbrGen++
-		for _, f := range b.facets {
-			if f.dead {
-				continue
-			}
-			onFacet := false
-			for _, fv := range f.verts {
-				if fv == v {
-					onFacet = true
-					break
-				}
-			}
-			if !onFacet {
-				continue
-			}
-			for _, o := range f.verts {
-				if o != v && b.ids[o] >= 0 && nstamp[o] != b.nbrGen {
-					nstamp[o] = b.nbrGen
-					nbrs = append(nbrs, o)
-				}
-			}
-		}
-		b.nbrBuf = nbrs[:0]
-		if b.canTopIdx(v, nbrs) {
-			count++
-		}
-	}
-	return count
+	return b.members()
 }
 
 // Upper extracts the current upper hull.
@@ -739,22 +620,55 @@ func (b *Builder) MemberCount() int {
 // is the full-hull co-facet relation restricted to members, which is
 // exactly the constraint set defining the top-region C(r): any record
 // tying r at the top for some v shares a hull facet with r.
-//
-// One sweep over the facets gathers both: it stamps hull and certain
-// vertices and collects the co-facet pairs, which two counting-sort passes
-// group into per-vertex runs.
 func (b *Builder) Upper() *Upper {
 	u := &Upper{}
 	if !b.started {
 		return u
 	}
+	b.members()
+	n := len(b.pts)
+	member := b.memberStamp[:n]
+	gen := b.gen
+	pairs := b.pairBuf
+	// Emit members ordered by external id, rows filtered to members.
+	ext := b.extBuf[:0]
+	for v := 0; v < n; v++ {
+		if member[v] == gen {
+			ext = append(ext, v)
+		}
+	}
+	sort.Slice(ext, func(a, c int) bool { return b.ids[ext[a]] < b.ids[ext[c]] })
+	u.MemberIDs = make([]int, 0, len(ext))
+	u.adjOff = make([]int32, 1, len(ext)+1)
+	for _, v := range ext {
+		u.MemberIDs = append(u.MemberIDs, b.ids[v])
+		lo := sort.Search(len(pairs), func(k int) bool { return pairs[k] >= int64(v)<<32 })
+		row0 := len(u.adjIDs)
+		for k := lo; k < len(pairs) && int(pairs[k]>>32) == v; k++ {
+			if o := int(uint32(pairs[k])); member[o] == gen {
+				u.adjIDs = append(u.adjIDs, b.ids[o])
+			}
+		}
+		sort.Ints(u.adjIDs[row0:])
+		u.adjOff = append(u.adjOff, int32(len(u.adjIDs)))
+	}
+	b.extBuf = ext[:0]
+	return u
+}
+
+// members is the membership pass Upper and MemberCount share. One sweep
+// over the facets stamps the hull vertices and the certain members
+// (vertices of a facet with non-negative normal) and collects the co-facet
+// pairs of real vertices; two counting-sort passes group the pairs into
+// deduplicated per-vertex runs, and every other hull vertex runs the QP
+// membership test against its run. On return memberStamp[v] == gen marks
+// the members and pairBuf holds the sorted pairs (v<<32 | o); it returns
+// the member count.
+func (b *Builder) members() int {
 	n := len(b.pts)
 	if cap(b.fastStamp) < n {
 		b.fastStamp = make([]int, 2*n)
 		b.hullStamp = make([]int, 2*n)
-		b.nbrStamp = make([]int, 2*n)
-	}
-	if cap(b.memberStamp) < n {
 		b.memberStamp = make([]int, 2*n)
 	}
 	fast := b.fastStamp[:n]
@@ -842,7 +756,9 @@ func (b *Builder) Upper() *Upper {
 	}
 	b.pairBuf2 = tmp[:0]
 	pairs = dst[:w]
+	b.pairBuf = pairs
 	// Membership: walk the per-vertex runs.
+	count := 0
 	i := 0
 	for v := 0; v < n; v++ {
 		lo := i
@@ -852,44 +768,20 @@ func (b *Builder) Upper() *Upper {
 		if hullv[v] != gen {
 			continue
 		}
-		if fast[v] == gen {
-			member[v] = gen
-			continue
-		}
-		nbrs := b.nbrBuf[:0]
-		for k := lo; k < i; k++ {
-			nbrs = append(nbrs, int(uint32(pairs[k])))
-		}
-		b.nbrBuf = nbrs[:0]
-		if b.canTopIdx(v, nbrs) {
-			member[v] = gen
-		}
-	}
-	// Emit members ordered by external id, rows filtered to members.
-	ext := b.extBuf[:0]
-	for v := 0; v < n; v++ {
-		if member[v] == gen {
-			ext = append(ext, v)
-		}
-	}
-	sort.Slice(ext, func(a, c int) bool { return b.ids[ext[a]] < b.ids[ext[c]] })
-	u.MemberIDs = make([]int, 0, len(ext))
-	u.adjOff = make([]int32, 1, len(ext)+1)
-	for _, v := range ext {
-		u.MemberIDs = append(u.MemberIDs, b.ids[v])
-		lo := sort.Search(len(pairs), func(k int) bool { return pairs[k] >= int64(v)<<32 })
-		row0 := len(u.adjIDs)
-		for k := lo; k < len(pairs) && int(pairs[k]>>32) == v; k++ {
-			if o := int(uint32(pairs[k])); member[o] == gen {
-				u.adjIDs = append(u.adjIDs, b.ids[o])
+		if fast[v] != gen {
+			nbrs := b.nbrBuf[:0]
+			for k := lo; k < i; k++ {
+				nbrs = append(nbrs, int(uint32(pairs[k])))
+			}
+			b.nbrBuf = nbrs[:0]
+			if !b.canTopIdx(v, nbrs) {
+				continue
 			}
 		}
-		sort.Ints(u.adjIDs[row0:])
-		u.adjOff = append(u.adjOff, int32(len(u.adjIDs)))
+		member[v] = gen
+		count++
 	}
-	b.extBuf = ext[:0]
-	b.pairBuf = pairs[:0]
-	return u
+	return count
 }
 
 // canTopIdx is canTop over internal point indices: can point v score at

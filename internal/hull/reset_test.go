@@ -45,22 +45,31 @@ func TestBuilderResetMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestMemberCountIncremental checks the cheap count against the full Upper
-// extraction as the hull grows point by point — the exact access pattern of
-// the rho-bar estimation loop.
+// TestMemberCountIncremental checks the count against the definition as
+// the hull grows point by point — the exact access pattern of the rho-bar
+// estimation loop: after every seventh add, MemberCount equals the number
+// of records added so far that definitionMember accepts.
 func TestMemberCountIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	for _, d := range []int{2, 3, 4, 5} {
 		b := NewBuilder(d)
+		var pts []geom.Vector
 		for i := 0; i < 120; i++ {
 			p := make(geom.Vector, d)
 			for j := range p {
 				p[j] = rng.Float64()
 			}
 			b.Add(i, p)
+			pts = append(pts, p)
 			if i%7 == 0 {
-				if got, want := b.MemberCount(), len(b.Upper().MemberIDs); got != want {
-					t.Fatalf("d=%d after %d adds: MemberCount %d, Upper members %d", d, i+1, got, want)
+				want := 0
+				for j := range pts {
+					if definitionMember(pts, j) {
+						want++
+					}
+				}
+				if got := b.MemberCount(); got != want {
+					t.Fatalf("d=%d after %d adds: MemberCount %d, definition members %d", d, i+1, got, want)
 				}
 			}
 		}

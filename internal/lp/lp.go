@@ -68,8 +68,14 @@ const (
 	// rewritten in place by every pivot, so its rounding error grows with
 	// the pivot count, unlike the QP's, which recomputes its slacks from
 	// the inputs each step. eps is therefore ten times looser than qp's tol.
-	eps     = 1e-9
-	maxIter = 50000
+	eps = 1e-9
+	// phaseOneTol is the largest artificial-variable sum phase one may end
+	// at for the system to count as feasible. A feasible system drives the
+	// sum to zero up to rounding, but the sum adds one residue per
+	// artificial, each up to about eps after the pivots, so the bound sits
+	// two orders above eps.
+	phaseOneTol = 1e-7
+	maxIter     = 50000
 )
 
 // Solve returns the optimal variable assignment and objective value.
@@ -198,7 +204,7 @@ func Solve(pr *Problem) (x []float64, val float64, status Status, err error) {
 	if errS != nil {
 		return nil, 0, Infeasible, errS
 	}
-	if st != Optimal || v1 > 1e-7 {
+	if st != Optimal || v1 > phaseOneTol {
 		return nil, 0, Infeasible, nil
 	}
 	// Drive any remaining artificial variables out of the basis.

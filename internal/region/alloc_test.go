@@ -34,7 +34,8 @@ func TestMinDistWSNoAllocs(t *testing.T) {
 }
 
 // TestProbeEmptyNoAllocs covers the probe-and-discard overlap test used by
-// the explorer's flood fill.
+// the explorer's flood fill: ProbeMinDist with extra rows, projecting a
+// point other than the seed.
 func TestProbeEmptyNoAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are inflated under the race detector")
@@ -43,13 +44,13 @@ func TestProbeEmptyNoAllocs(t *testing.T) {
 	hs := []Halfspace{Beat(geom.Vector{0.9, 0.2, 0.1}, geom.Vector{0.2, 0.3, 0.9})}
 	at := geom.SimplexBarycentre(3)
 	var ws Workspace
-	r.ProbeEmptyAt(at, hs, &ws) // warm-up
+	r.ProbeMinDist(hs, at, &ws) // warm-up
 	avg := testing.AllocsPerRun(100, func() {
-		if r.ProbeEmptyAt(at, hs, &ws) {
+		if _, _, ok := r.ProbeMinDist(hs, at, &ws); !ok {
 			t.Fatal("probe unexpectedly empty")
 		}
 	})
 	if avg != 0 {
-		t.Fatalf("warmed ProbeEmptyAt allocates %.1f times per call, want 0", avg)
+		t.Fatalf("warmed ProbeMinDist allocates %.1f times per call, want 0", avg)
 	}
 }

@@ -84,9 +84,9 @@ func (r Region) Contains(v geom.Vector) bool {
 }
 
 // Workspace carries the QP solver state and the assembled constraint
-// system of region queries, so repeated MinDistWS/ProbeEmptyAt calls
-// perform no heap allocations after warm-up. The zero value is ready for
-// use. Not goroutine-safe: one Workspace per worker.
+// system of region queries, so repeated ProbeMinDist calls perform no heap
+// allocations after warm-up. The zero value is ready for use. Not
+// goroutine-safe: one Workspace per worker.
 type Workspace struct {
 	qp qp.Workspace
 	pr qp.Problem
@@ -112,58 +112,25 @@ func (r Region) problemWS(target geom.Vector, ws *Workspace) *qp.Problem {
 	return pr
 }
 
-// MinDist returns the minimum distance from w to the region and the
-// closest point. ok is false when the region is empty. w must have the
-// region's dimensionality. The returned point is freshly valid for the
-// caller to retain; use MinDistWS on the hot path.
-func (r Region) MinDist(w geom.Vector) (dist float64, closest geom.Vector, ok bool) {
-	var ws Workspace
-	return r.MinDistWS(w, &ws)
-}
-
-// MinDistWS is MinDist with a caller-supplied workspace. The returned
-// closest point aliases the workspace's solution buffer: it is valid until
-// the workspace's next use and must be copied if retained.
+// MinDistWS returns the minimum distance from w to the region and the
+// closest point; ok is false when the region is empty. w must have the
+// region's dimensionality. It is ProbeMinDist with no extra rows.
 //
 //ordlint:noalloc
 func (r Region) MinDistWS(w geom.Vector, ws *Workspace) (dist float64, closest geom.Vector, ok bool) {
-	x, d2, err := ws.qp.Solve(r.problemWS(w, ws))
-	if err != nil {
-		return 0, nil, false
-	}
-	return d2, x, true
+	return r.ProbeMinDist(nil, w, ws)
 }
 
-// Empty reports whether the region has no feasible point.
-func (r Region) Empty() bool {
-	_, ok := r.FeasiblePoint()
-	return !ok
-}
-
-// ProbeEmptyAt reports whether r intersected with the extra halfspaces is
-// empty, without materialising the combined region: the extra rows are
-// appended to the workspace's assembled constraint system directly. The
-// answer does not depend on the projection point at, but a point already
-// deep inside r (e.g. a cached witness of a prior mindist solve) starts the
+// ProbeMinDist answers both of the region layer's questions about r
+// intersected with extra halfspaces: the closest point to w and its
+// distance, or ok=false when the intersection is empty. The extra rows are
+// appended to the workspace's assembled constraint system directly, without
+// materialising the combined region. Emptiness does not depend on w, but a
+// w already deep inside r (a cached witness of a prior solve) starts the
 // solver with most constraints satisfied, cutting its active-set
-// iterations on the dominant non-empty outcome.
-//
-//ordlint:noalloc
-func (r Region) ProbeEmptyAt(at geom.Vector, hs []Halfspace, ws *Workspace) bool {
-	pr := r.problemWS(at, ws)
-	for _, h := range hs {
-		pr.InA = append(pr.InA, h.A)
-		pr.InB = append(pr.InB, h.B)
-	}
-	_, _, err := ws.qp.Solve(pr)
-	return err != nil
-}
-
-// ProbeMinDist is MinDistWS over the region intersected with extra
-// halfspaces, without materialising the combined region: the extra rows are
-// appended to the workspace's assembled constraint system directly. It is
-// the allocation-free form of r.With(hs...).MinDistWS(w, ws). The returned
-// closest point aliases the workspace's solution buffer.
+// iterations. The returned closest point aliases the workspace's solution
+// buffer: it is valid until the workspace's next use and must be copied if
+// retained.
 //
 //ordlint:noalloc
 func (r Region) ProbeMinDist(hs []Halfspace, w geom.Vector, ws *Workspace) (dist float64, closest geom.Vector, ok bool) {
@@ -179,16 +146,9 @@ func (r Region) ProbeMinDist(hs []Halfspace, w geom.Vector, ws *Workspace) (dist
 	return d2, x, true
 }
 
-// FeasiblePoint returns a point of the region (the projection of the
-// simplex barycentre), or ok=false when the region is empty.
-func (r Region) FeasiblePoint() (geom.Vector, bool) {
-	var ws Workspace
-	v, ok := r.FeasiblePointWS(&ws)
-	return v, ok
-}
-
-// FeasiblePointWS is FeasiblePoint with a caller-supplied workspace; the
-// returned point aliases the workspace and must be copied if retained.
+// FeasiblePointWS returns a point of the region (the projection of the
+// simplex barycentre), or ok=false when the region is empty. The returned
+// point aliases the workspace and must be copied if retained.
 //
 //ordlint:noalloc
 func (r Region) FeasiblePointWS(ws *Workspace) (geom.Vector, bool) {

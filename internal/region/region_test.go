@@ -9,13 +9,33 @@ import (
 	"ordu/internal/lp"
 )
 
+// empty reports whether r has no feasible point, through the one
+// feasible-point routine.
+func empty(r Region) bool {
+	var ws Workspace
+	_, ok := r.FeasiblePointWS(&ws)
+	return !ok
+}
+
+// minDist is MinDistWS on a fresh workspace.
+func minDist(r Region, w geom.Vector) (float64, geom.Vector, bool) {
+	var ws Workspace
+	return r.MinDistWS(w, &ws)
+}
+
+// feasiblePoint is FeasiblePointWS on a fresh workspace.
+func feasiblePoint(r Region) (geom.Vector, bool) {
+	var ws Workspace
+	return r.FeasiblePointWS(&ws)
+}
+
 func TestFullSimplex(t *testing.T) {
 	r := Full(3)
-	if r.Empty() {
+	if empty(r) {
 		t.Fatal("full simplex reported empty")
 	}
 	w := geom.Vector{0.2, 0.3, 0.5}
-	d, c, ok := r.MinDist(w)
+	d, c, ok := minDist(r, w)
 	if !ok || d > 1e-9 {
 		t.Fatalf("mindist from interior point = %g", d)
 	}
@@ -51,7 +71,7 @@ func TestWithDoesNotMutate(t *testing.T) {
 		t.Fatalf("halfspace counts: %d %d %d", len(base.Hs), len(ext1.Hs), len(ext2.Hs))
 	}
 	// ext1 requires v2 >= 0.5 and v1 >= 0.3; ext2 requires v1 in [0.3,0.4].
-	if ext1.Empty() || ext2.Empty() {
+	if empty(ext1) || empty(ext2) {
 		t.Fatal("feasible regions reported empty")
 	}
 }
@@ -62,10 +82,10 @@ func TestEmptyRegion(t *testing.T) {
 		Halfspace{A: geom.Vector{1, 0}, B: 0.8},
 		Halfspace{A: geom.Vector{0, 1}, B: 0.8},
 	)
-	if !r.Empty() {
+	if !empty(r) {
 		t.Fatal("infeasible region not detected")
 	}
-	if _, _, ok := r.MinDist(geom.Vector{0.5, 0.5}); ok {
+	if _, _, ok := minDist(r, geom.Vector{0.5, 0.5}); ok {
 		t.Fatal("MinDist on empty region returned ok")
 	}
 }
@@ -74,7 +94,7 @@ func TestMinDistHandComputed(t *testing.T) {
 	// Region v1 >= 0.75 on the 1-simplex; from w=(0.5,0.5) the closest
 	// point is (0.75,0.25) at distance 0.25*sqrt(2).
 	r := Full(2).With(Halfspace{A: geom.Vector{1, 0}, B: 0.75})
-	d, c, ok := r.MinDist(geom.Vector{0.5, 0.5})
+	d, c, ok := minDist(r, geom.Vector{0.5, 0.5})
 	if !ok {
 		t.Fatal("region empty")
 	}
@@ -117,10 +137,10 @@ func TestEmptinessAgreesWithLP(t *testing.T) {
 			pr.InB = append(pr.InB, -h.B)
 		}
 		_, lpFeasible := lp.FeasiblePoint(pr)
-		qpEmpty := r.Empty()
+		qpEmpty := empty(r)
 		if lpFeasible == qpEmpty {
 			// Disagreement: tolerate only razor-thin regions.
-			if p, ok := r.FeasiblePoint(); ok {
+			if p, ok := feasiblePoint(r); ok {
 				_ = p
 				t.Fatalf("iter %d: QP empty=%v but LP feasible=%v", iter, qpEmpty, lpFeasible)
 			}
@@ -144,7 +164,7 @@ func TestFeasiblePointIsInside(t *testing.T) {
 			}
 			r = r.With(Halfspace{A: a, B: -math.Abs(rng.NormFloat64()) * 0.1})
 		}
-		p, ok := r.FeasiblePoint()
+		p, ok := feasiblePoint(r)
 		if !ok {
 			continue
 		}

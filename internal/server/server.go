@@ -254,11 +254,11 @@ func statusForCtx(err error) int {
 
 // --- datasets ---
 
-// DatasetRequest is the body of POST /datasets: either a server-local CSV
-// path or a generator spec.
+// DatasetRequest is the body of POST /datasets: a name and a generator
+// spec. A client cannot name a server-local file; CSV datasets load at
+// startup (ordud -data).
 type DatasetRequest struct {
 	Name      string         `json:"name"`
-	CSVPath   string         `json:"csv_path,omitempty"`
 	Generator *GeneratorSpec `json:"generator,omitempty"`
 }
 
@@ -303,11 +303,13 @@ func infoFromStats(name string, st collection.Stats) DatasetInfo {
 }
 
 // BuildDataset materialises a dataset from a CSV path or generator spec.
-// CSV columns are min-max normalised into [0,1], matching cmd/ordu.
+// CSV columns are min-max normalised into [0,1], matching cmd/ordu. The
+// path is opened on the server's file system, so only ordud's startup
+// flags pass one; POST /datasets takes a generator only.
 func BuildDataset(csvPath string, gen *GeneratorSpec) (*ordu.Dataset, error) {
 	switch {
 	case csvPath != "" && gen != nil:
-		return nil, fmt.Errorf("give either csv_path or generator, not both")
+		return nil, fmt.Errorf("give either a CSV path or a generator, not both")
 	case csvPath != "":
 		recs, err := data.LoadCSV(csvPath)
 		if err != nil {
@@ -321,7 +323,7 @@ func BuildDataset(csvPath string, gen *GeneratorSpec) (*ordu.Dataset, error) {
 		}
 		return ordu.NewDataset(recs)
 	default:
-		return nil, fmt.Errorf("give csv_path or generator")
+		return nil, fmt.Errorf("give a CSV path or a generator")
 	}
 }
 
@@ -354,7 +356,11 @@ func generate(g *GeneratorSpec) ([][]float64, error) {
 func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req DatasetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// Unknown fields fail, so a body naming a file path gets a 400, never
+	// a dataset it did not ask for.
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		s.fail(w, "datasets", start, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -362,7 +368,11 @@ func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, "datasets", start, http.StatusBadRequest, "missing dataset name")
 		return
 	}
-	ds, err := BuildDataset(req.CSVPath, req.Generator)
+	if req.Generator == nil {
+		s.fail(w, "datasets", start, http.StatusBadRequest, "missing generator")
+		return
+	}
+	ds, err := BuildDataset("", req.Generator)
 	if err != nil {
 		s.fail(w, "datasets", start, http.StatusBadRequest, err.Error())
 		return

@@ -336,7 +336,7 @@ func TestDatasetEndpoints(t *testing.T) {
 	if info.Records != 120 || info.Dims != 3 {
 		t.Fatalf("info %+v", info)
 	}
-	// CSV-backed registration.
+	// CSV-backed registration, the startup path (ordud -data).
 	path := filepath.Join(t.TempDir(), "recs.csv")
 	var sb strings.Builder
 	for i := 0; i < 40; i++ {
@@ -345,11 +345,11 @@ func TestDatasetEndpoints(t *testing.T) {
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rec = do(t, s.Handler(), "POST", "/datasets",
-		fmt.Sprintf(`{"name":"csv","csv_path":%q}`, path))
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("csv status %d: %s", rec.Code, rec.Body.String())
+	csvDS, err := BuildDataset(path, nil)
+	if err != nil {
+		t.Fatalf("csv: %v", err)
 	}
+	s.AddDataset("csv", csvDS)
 	// Both are listed and queryable.
 	list := decode[[]DatasetInfo](t, do(t, s.Handler(), "GET", "/datasets", ""))
 	if len(list) != 2 || list[0].Name != "csv" || list[1].Name != "synth" {
@@ -361,8 +361,8 @@ func TestDatasetEndpoints(t *testing.T) {
 	}
 	// Bad registrations.
 	for _, body := range []string{
-		`{"csv_path":"x.csv"}`, // no name
-		`{"name":"x"}`,         // no source
+		`{"generator":{"dist":"IND","n":10,"d":2}}`, // no name
+		`{"name":"x"}`, // no source
 		`{"name":"x","generator":{"dist":"WAT","n":10,"d":2}}`,
 		`{"name":"x","csv_path":"/definitely/missing.csv"}`,
 		fmt.Sprintf(`{"name":"x","csv_path":%q,"generator":{"dist":"IND","n":10,"d":2}}`, path),
@@ -370,6 +370,34 @@ func TestDatasetEndpoints(t *testing.T) {
 		if rec := do(t, s.Handler(), "POST", "/datasets", body); rec.Code != 400 {
 			t.Fatalf("body %s: status %d, want 400", body, rec.Code)
 		}
+	}
+}
+
+// TestDatasetRequestCannotNameAFile: POST /datasets takes no file path. A
+// body naming a readable numeric CSV gets a 400 that echoes none of the
+// file, with or without a generator beside it, and registers nothing.
+func TestDatasetRequestCannotNameAFile(t *testing.T) {
+	s := New(Config{})
+	path := filepath.Join(t.TempDir(), "secret.csv")
+	if err := os.WriteFile(path, []byte("0.123456,0.654321\n0.777777,0.888888\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		fmt.Sprintf(`{"name":"x","csv_path":%q}`, path),
+		fmt.Sprintf(`{"name":"x","csv_path":%q,"generator":{"dist":"IND","n":10,"d":2}}`, path),
+	} {
+		rec := do(t, s.Handler(), "POST", "/datasets", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400", body, rec.Code)
+		}
+		for _, leak := range []string{"0.123456", "0.654321", "0.777777", "0.888888"} {
+			if strings.Contains(rec.Body.String(), leak) {
+				t.Fatalf("body %s: response %q echoes the file", body, rec.Body.String())
+			}
+		}
+	}
+	if list := decode[[]DatasetInfo](t, do(t, s.Handler(), "GET", "/datasets", "")); len(list) != 0 {
+		t.Fatalf("datasets registered: %+v", list)
 	}
 }
 

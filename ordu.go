@@ -160,9 +160,6 @@ func (ds *Dataset) Stats() collection.Stats { return ds.col.Stats() }
 // precomputation beyond the index, so updates are immediately visible to
 // subsequent queries (Section 3).
 func (ds *Dataset) Insert(record []float64) (int, error) {
-	if len(record) != ds.Dim() {
-		return 0, fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
-	}
 	id := ds.col.NewID()
 	if err := ds.col.Insert(id, geom.Vector(record)); err != nil {
 		return 0, err
@@ -174,9 +171,6 @@ func (ds *Dataset) Insert(record []float64) (int, error) {
 // already live (collection.ErrDuplicateID) or the record is malformed
 // (collection.ErrBadPoint).
 func (ds *Dataset) InsertID(id int, record []float64) error {
-	if len(record) != ds.Dim() {
-		return fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
-	}
 	return ds.col.Insert(id, geom.Vector(record))
 }
 
@@ -184,18 +178,12 @@ func (ds *Dataset) InsertID(id int, record []float64) error {
 // is unknown (collection.ErrUnknownID) or the record is malformed
 // (collection.ErrBadPoint).
 func (ds *Dataset) Update(id int, record []float64) error {
-	if len(record) != ds.Dim() {
-		return fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
-	}
 	return ds.col.Update(id, geom.Vector(record))
 }
 
 // Upsert inserts the record when id is free and updates it when live,
 // reporting which happened.
 func (ds *Dataset) Upsert(id int, record []float64) (updated bool, err error) {
-	if len(record) != ds.Dim() {
-		return false, fmt.Errorf("%w: record has %d attributes, want %d", collection.ErrBadPoint, len(record), ds.Dim())
-	}
 	return ds.col.Upsert(id, geom.Vector(record))
 }
 
