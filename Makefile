@@ -7,17 +7,17 @@ all: build test
 build:
 	$(GO) build ./...
 
-# Project-specific static analysis, all twelve checks: the syntactic
+# Project-specific static analysis, all eleven checks: the syntactic
 # suite (floatcmp, senterr, nopanic, printguard), the CFG/dataflow suite
 # (wsescape, poolpair, narrowcast) and the interprocedural suite (ctxflow,
-# noalloc, maporder, borrowck, lockmode); exits non-zero on any finding.
+# noalloc, maporder, lockmode); exits non-zero on any finding.
 # This target is the single lint invocation: `make test` and CI both go
 # through it.
 lint:
 	$(GO) run ./cmd/ordlint ./...
 
 # Lint wall-time budget: the suite must finish within LINT_BUDGET seconds.
-# The full 12-check run takes ~5s locally (dominated by type-checking the
+# The full 11-check run takes ~5s locally (dominated by type-checking the
 # stdlib closure from source); the default budget is ~4x that plus headroom
 # for slower CI runners. A blown budget means a check went super-linear —
 # catch it here, not by watching CI get slower release by release.

@@ -142,7 +142,7 @@ func TestCheckSubset(t *testing.T) {
 		t.Skip("loads the full module plus its stdlib closure")
 	}
 	var out, errw bytes.Buffer
-	if code := run([]string{"-check", "borrowck,lockmode", "./internal/collection"}, &out, &errw); code != 0 {
+	if code := run([]string{"-check", "noalloc,lockmode", "./internal/collection"}, &out, &errw); code != 0 {
 		t.Fatalf("run(-check subset) = %d, stdout: %s, stderr: %s", code, out.String(), errw.String())
 	}
 	if out.Len() != 0 {

@@ -3,9 +3,9 @@
 // and runs a suite of project-specific analyzers enforcing invariants the
 // compiler cannot see — numeric-comparison discipline near region
 // boundaries, the cooperative-cancellation contract of request-reachable
-// loops, sentinel-error hygiene, workspace and borrow lifetimes,
-// allocation-free kernels, lock discipline, guarded narrowing into the
-// flat core's int32 handles, and library-package output/termination rules.
+// loops, sentinel-error hygiene, workspace lifetimes, allocation-free
+// kernels, lock discipline, guarded narrowing into the flat core's int32
+// handles, and library-package output/termination rules.
 //
 // A finding can be suppressed with an escape comment on (or immediately
 // above) the offending line:
@@ -71,15 +71,10 @@ type Analyzer struct {
 	Run   func(*Pass)
 }
 
-// Suite is an ordered set of analyzers plus the shared configuration that
-// scopes them to the right packages.
+// Suite is an ordered set of analyzers, each scoped to its packages by
+// the Config that NewSuite built it from.
 type Suite struct {
 	Analyzers []*Analyzer
-
-	// fresh are the owning-constructor names (Config.FreshFuncs): borrow
-	// derivation stops at them, since the borrows they assemble alias
-	// storage the returned object itself owns.
-	fresh map[string]bool
 }
 
 // Run applies every analyzer to every package and returns the surviving
@@ -91,7 +86,7 @@ func (s *Suite) Run(pkgs []*Package) []Diagnostic {
 	facts := computeFacts(pkgs)
 	facts.Graph = BuildCallGraph(pkgs)
 	facts.Summaries = ComputeSummaries(facts.Graph, pkgs)
-	facts.Borrows = ComputeBorrowFacts(facts.Graph, s.fresh)
+	facts.Writers = ComputeWriters(facts.Graph)
 	for _, pkg := range pkgs {
 		allow := collectAllows(pkg)
 		fset := pkg.Fset

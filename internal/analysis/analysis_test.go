@@ -26,7 +26,6 @@ var fixtures = []struct{ name, check string }{
 	{"noalloc", "noalloc"},
 	{"deepnoalloc", "noalloc"},
 	{"maporder", "maporder"},
-	{"borrowck", "borrowck"},
 	{"lockmode", "lockmode"},
 	{"lockhold", "lockmode"},
 }
@@ -72,10 +71,6 @@ func fixtureConfig(name string) Config {
 		return Config{LockModePackages: map[string]bool{"lockhold": true}}
 	case "maporder":
 		return Config{MapOrderPackages: map[string]bool{"maporder": true}}
-	case "borrowck":
-		return Config{BorrowSinks: map[string]string{
-			"borrowck.cache.Put": "the cache retains rows across calls",
-		}}
 	case "lockmode":
 		return Config{
 			LockModePackages: map[string]bool{"lockmode": true},

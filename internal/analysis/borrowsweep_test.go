@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestModuleBorrowSweep pins the borrow/writer classification of the
-// live-dataset layer and the lock-mode classification of the server's
-// handlers over the real module. The tables below are exhaustive by
+// TestModuleBorrowSweep pins the writer classification of the live-dataset
+// layer and the lock-mode classification of the server's handlers over the
+// real module. The tables below are exhaustive by
 // construction: every exported method of Collection must have an entry
 // (adding a method without classifying it fails the test), and every
 // handle* method of Server must have a lock-mode row. This is the
@@ -16,26 +16,26 @@ import (
 func TestModuleBorrowSweep(t *testing.T) {
 	pkgs, modPath := loadModule(t)
 	g := BuildCallGraph(pkgs)
-	facts := ComputeBorrowFacts(g, DefaultConfig(modPath).FreshFuncs)
-	factByName := make(map[string]*BorrowInfo, len(facts))
-	for n, bi := range facts {
-		factByName[n.Name] = bi
+	writers := ComputeWriters(g)
+	nodeByName := make(map[string]*FuncNode, len(g.Nodes))
+	for _, n := range g.Nodes {
+		nodeByName[n.Name] = n
 	}
 
-	type fact struct{ borrows, writer bool }
-	expect := map[string]map[string]fact{
+	// Each exported method's writer column.
+	expect := map[string]map[string]bool{
 		modPath + "/internal/collection.Collection": {
-			"Len":    {},
-			"Dim":    {},
-			"NewID":  {},
-			"Bounds": {},
-			"Stats":  {},
-			"Tree":   {borrows: true},
-			"Get":    {borrows: true},
-			"Insert": {writer: true},
-			"Update": {writer: true},
-			"Upsert": {writer: true},
-			"Delete": {writer: true},
+			"Len":    false,
+			"Dim":    false,
+			"NewID":  false,
+			"Bounds": false,
+			"Stats":  false,
+			"Tree":   false,
+			"Get":    false,
+			"Insert": true,
+			"Update": true,
+			"Upsert": true,
+			"Delete": true,
 		},
 	}
 
@@ -68,18 +68,17 @@ func TestModuleBorrowSweep(t *testing.T) {
 			seen[m.Name()] = true
 			want, ok := methods[m.Name()]
 			if !ok {
-				t.Errorf("%s.%s has no row in the borrow sweep table; classify the new method", qtype, m.Name())
+				t.Errorf("%s.%s has no row in the sweep table; classify the new method", qtype, m.Name())
 				continue
 			}
 			nodeName := pkgPath + "." + typeName + "." + m.Name()
-			bi := factByName[nodeName]
-			if bi == nil {
-				t.Errorf("no borrow summary computed for %s", nodeName)
+			n := nodeByName[nodeName]
+			if n == nil {
+				t.Errorf("call graph has no node %s", nodeName)
 				continue
 			}
-			if bi.ReturnsBorrow != want.borrows || bi.Writer != want.writer {
-				t.Errorf("%s: (borrows, writer) = (%v, %v), want (%v, %v)",
-					nodeName, bi.ReturnsBorrow, bi.Writer, want.borrows, want.writer)
+			if writers[n] != want {
+				t.Errorf("%s: writer = %v, want %v", nodeName, writers[n], want)
 			}
 		}
 		for name := range methods {

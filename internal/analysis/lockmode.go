@@ -46,15 +46,15 @@ func NewLockmode(packages, guarded, fresh, pure map[string]bool) *Analyzer {
 		if !packages[pass.PkgPath] {
 			return
 		}
-		g, sums, borrows := pass.Facts.Graph, pass.Facts.Summaries, pass.Facts.Borrows
-		if g == nil || sums == nil || borrows == nil {
+		g, sums, writers := pass.Facts.Graph, pass.Facts.Summaries, pass.Facts.Writers
+		if g == nil || sums == nil || writers == nil {
 			return
 		}
 		for _, n := range g.Nodes {
 			if n.Pkg.Path != pass.PkgPath || n.Body() == nil {
 				continue
 			}
-			checkLockmode(pass, n, g, sums, borrows, guarded, fresh, pure)
+			checkLockmode(pass, n, g, sums, writers, guarded, fresh, pure)
 		}
 	}
 	return a
@@ -161,7 +161,7 @@ func baseHeld(set map[string]bool, base string) bool {
 	return false
 }
 
-func checkLockmode(pass *Pass, n *FuncNode, g *CallGraph, sums map[*FuncNode]*Summary, borrows map[*FuncNode]*BorrowInfo, guarded, fresh, pure map[string]bool) {
+func checkLockmode(pass *Pass, n *FuncNode, g *CallGraph, sums map[*FuncNode]*Summary, writers map[*FuncNode]bool, guarded, fresh, pure map[string]bool) {
 	info := pass.TypesInfo
 	// Methods on a guarded type calling sibling methods through their own
 	// receiver are internal delegation: the lock obligation lives with the
@@ -181,10 +181,11 @@ func checkLockmode(pass *Pass, n *FuncNode, g *CallGraph, sums map[*FuncNode]*Su
 		}
 	}
 	graph := cfg.New(n.Body())
+	polls := pollOps(n.Body())
 	events := make([][]lmEvent, len(graph.Blocks))
 	for _, b := range graph.Blocks {
 		for _, node := range b.Nodes {
-			events[b.Index] = append(events[b.Index], lmEventsOf(info, g, sums, edgeAt, node, guarded, fresh, pure)...)
+			events[b.Index] = append(events[b.Index], lmEventsOf(info, g, sums, edgeAt, polls, node, guarded, fresh, pure)...)
 		}
 	}
 
@@ -197,7 +198,7 @@ func checkLockmode(pass *Pass, n *FuncNode, g *CallGraph, sums map[*FuncNode]*Su
 				applySummary(st, sums[ev.callee])
 			case lmGuard:
 				if report && (recv == nil || ev.root != recv) {
-					checkGuardedCall(pass, st, ev, borrows)
+					checkGuardedCall(pass, st, ev, writers[ev.callee])
 				}
 			case lmGen:
 				for _, o := range ev.objs {
@@ -334,13 +335,11 @@ func applySummary(st *lmState, s *Summary) {
 }
 
 // checkGuardedCall verifies the lock mode at a call on a guarded receiver.
-func checkGuardedCall(pass *Pass, st *lmState, ev lmEvent, borrows map[*FuncNode]*BorrowInfo) {
+func checkGuardedCall(pass *Pass, st *lmState, ev lmEvent, writer bool) {
 	if ev.root != nil && st.fresh[ev.root] {
 		return // unpublished object: no lock needed yet
 	}
-	bi := borrows[ev.callee]
 	name := shortName(ev.callee.Name)
-	writer := bi != nil && bi.Writer
 	if writer {
 		if baseHeld(st.mustW, ev.base) {
 			return
@@ -361,15 +360,16 @@ func checkGuardedCall(pass *Pass, st *lmState, ev lmEvent, borrows map[*FuncNode
 // lmEventsOf extracts the ordered lockmode events of one CFG node. Defer
 // statements contribute nothing: deferred unlocks run at exit (so the lock
 // stays held through the body), and deferred blocking work runs outside
-// the critical section's useful span.
+// the critical section's useful span. The comm operations of a select with
+// a default (polls) do not block.
 func lmEventsOf(info *types.Info, g *CallGraph, sums map[*FuncNode]*Summary, edgeAt map[token.Pos][]*CallEdge,
-	node ast.Node, guarded, fresh, pure map[string]bool) []lmEvent {
+	polls map[ast.Node]bool, node ast.Node, guarded, fresh, pure map[string]bool) []lmEvent {
 	if _, ok := node.(*ast.DeferStmt); ok {
 		return nil
 	}
 	var evs []lmEvent
 	inspectShallow(node, func(m ast.Node) bool {
-		if what := blockSite(info, m); what != "" {
+		if what := blockSite(info, m); what != "" && !polls[m] {
 			evs = append(evs, lmEvent{kind: lmBlock, what: what, pos: m.Pos()})
 		}
 		switch x := m.(type) {

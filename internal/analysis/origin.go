@@ -25,9 +25,9 @@ type Facts struct {
 	// (ctxflow, noalloc, lockmode). Built once per Suite.Run.
 	Graph     *CallGraph
 	Summaries map[*FuncNode]*Summary
-	// Borrows holds the borrow/writer facts of the lock-discipline checks
-	// (borrowck, lockmode), computed over Graph after Summaries.
-	Borrows map[*FuncNode]*BorrowInfo
+	// Writers marks the methods lockmode requires the write lock for,
+	// computed over Graph after Summaries.
+	Writers map[*FuncNode]bool
 }
 
 // wsDocPhrases are the doc-comment fragments that mark a type as a

@@ -43,10 +43,6 @@ type Config struct {
 	// MapOrderPackages are the packages maporder audits for map-range
 	// iteration feeding appended results.
 	MapOrderPackages map[string]bool
-	// BorrowSinks maps qualified function names to the reason borrowck
-	// must keep borrows out of them: calls that retain their arguments
-	// beyond the request (the server's result cache).
-	BorrowSinks map[string]string
 	// LockModePackages are the packages lockmode audits: RWMutex
 	// read/write discipline over the guarded types, and locks held across
 	// blocking operations.
@@ -101,13 +97,12 @@ type Config struct {
 //     geom.simplexFor, the documented per-dimension constant-cache fill;
 //   - maporder audits the packages that assemble ordered results from
 //     map-keyed state: internal/core, internal/skyband, internal/server;
-//   - borrowck runs everywhere (//ordlint:borrows annotations seed it) and
-//     keeps borrows of packed point storage out of the server's result
-//     cache, the one store that outlives requests;
 //   - lockmode audits internal/server, the only package that holds locks
 //     near I/O, where the per-dataset RWMutex guards Dataset/Collection
 //     calls; Dataset.Dim is pure (construction-immutable) and the dataset
-//     constructors yield fresh unpublished objects.
+//     constructors yield fresh unpublished objects. No borrow check is
+//     needed beside it: every slice the facade returns is the caller's
+//     own copy, and Collection/Tree views never leave package ordu.
 func DefaultConfig(modulePath string) Config {
 	internal := func(pkgPath string) bool {
 		return strings.HasPrefix(pkgPath, modulePath+"/internal/")
@@ -156,9 +151,6 @@ func DefaultConfig(modulePath string) Config {
 			modulePath + "/internal/skyband": true,
 			modulePath + "/internal/server":  true,
 		},
-		BorrowSinks: map[string]string{
-			modulePath + "/internal/server.lruCache.Put": "the result cache retains bodies across requests",
-		},
 		LockModePackages: map[string]bool{
 			modulePath + "/internal/server": true,
 		},
@@ -206,7 +198,7 @@ func NewSuite(cfg Config) *Suite {
 	if printguard == nil {
 		printguard = nope
 	}
-	return &Suite{fresh: cfg.FreshFuncs, Analyzers: []*Analyzer{
+	return &Suite{Analyzers: []*Analyzer{
 		NewFloatcmp(cfg.FloatcmpApproved),
 		NewSenterr(senterr),
 		NewNopanic(nopanic),
@@ -217,7 +209,6 @@ func NewSuite(cfg Config) *Suite {
 		NewCtxflow(cfg.CtxFlowEntryPackages, cfg.CtxFlowEntryFuncs, cfg.ScanCalls),
 		NewNoalloc(cfg.WorkspacePackage, cfg.NoallocExternals, cfg.NoallocAmortized),
 		NewMaporder(cfg.MapOrderPackages),
-		NewBorrowck(cfg.BorrowSinks, cfg.FreshFuncs),
 		NewLockmode(cfg.LockModePackages, cfg.GuardedTypes, cfg.FreshFuncs, cfg.LockModePure),
 	}}
 }

@@ -34,7 +34,6 @@ func TestDefaultConfigNamesResolve(t *testing.T) {
 		"CtxFlowEntryFuncs":    kindFunc,
 		"NoallocAmortized":     kindFunc,
 		"MapOrderPackages":     kindPackage,
-		"BorrowSinks":          kindFunc,
 		"LockModePackages":     kindPackage,
 		"GuardedTypes":         kindType,
 		"FreshFuncs":           kindFunc,

@@ -139,8 +139,9 @@ func directSummary(n *FuncNode, allow allowSet) *Summary {
 		s.BlockSites = append(s.BlockSites, SummarySite{pos, what})
 	}
 
+	polls := pollOps(body)
 	inspectShallow(body, func(node ast.Node) bool {
-		if what := blockSite(info, node); what != "" {
+		if what := blockSite(info, node); what != "" && !polls[node] {
 			block(node.Pos(), what)
 		}
 		switch x := node.(type) {
@@ -189,6 +190,8 @@ func directSummary(n *FuncNode, allow allowSet) *Summary {
 // blockSite classifies the channel operations that can block the calling
 // goroutine: a send, a receive, a select without default and a range over
 // a channel. It returns a short description, or "" for any other node.
+// The send or receive of a comm clause is classified like any other;
+// callers skip the ones pollOps returns.
 func blockSite(info *types.Info, n ast.Node) string {
 	switch x := n.(type) {
 	case *ast.SendStmt:
@@ -198,12 +201,9 @@ func blockSite(info *types.Info, n ast.Node) string {
 			return "channel receive"
 		}
 	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				return ""
-			}
+		if !hasDefault(x) {
+			return "select without default"
 		}
-		return "select without default"
 	case *ast.RangeStmt:
 		if t := typeOf(info, x.X); t != nil {
 			if _, ok := t.Underlying().(*types.Chan); ok {
@@ -212,6 +212,42 @@ func blockSite(info *types.Info, n ast.Node) string {
 		}
 	}
 	return ""
+}
+
+// hasDefault reports whether a select has a default clause.
+func hasDefault(s *ast.SelectStmt) bool {
+	for _, c := range s.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// pollOps returns the sends and receives of the comm clauses of every
+// select with a default clause in body. Such a select never blocks, so
+// its comm operations poll (a context's Done channel, a stop signal)
+// rather than wait.
+func pollOps(body ast.Node) map[ast.Node]bool {
+	polls := map[ast.Node]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		s, ok := n.(*ast.SelectStmt)
+		if !ok || !hasDefault(s) {
+			return true
+		}
+		for _, c := range s.Body.List {
+			switch comm := c.(*ast.CommClause).Comm.(type) {
+			case *ast.SendStmt:
+				polls[comm] = true
+			case *ast.ExprStmt:
+				polls[ast.Unparen(comm.X)] = true
+			case *ast.AssignStmt:
+				polls[ast.Unparen(comm.Rhs[0])] = true
+			}
+		}
+		return true
+	})
+	return polls
 }
 
 // deferRecovers reports whether a defer statement (directly or through a

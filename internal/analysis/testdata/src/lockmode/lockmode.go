@@ -3,11 +3,15 @@
 // the write lock on every path, readers at least the read lock, fresh
 // unpublished objects are exempt until they escape, RLock→Lock upgrades
 // self-deadlock, and unlock modes must pair with their acquisition. Its
-// control-flow cases pin that a range body is seen once and an empty
-// select is seen at all.
+// control-flow cases pin that a range body is seen once, an empty select
+// is seen at all, and the comm operation of a select with a default
+// clause, which never blocks, is not a blocking operation.
 package lockmode
 
-import "sync"
+import (
+	"context"
+	"sync"
+)
 
 type dataset struct {
 	n     int
@@ -148,6 +152,40 @@ func (s *server) relockInLoop(ids []int) int {
 func (s *server) parkUnderLock() {
 	s.mu.Lock()
 	select {} // want "select without default while holding s.mu"
+}
+
+// pollUnderLock receives from a channel in a select with a default
+// clause: the select never blocks, so holding the lock is fine. Quiet.
+func (s *server) pollUnderLock(ch chan int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case v := <-ch:
+		return v
+	default:
+		return 0
+	}
+}
+
+// cancelled polls a context the same way.
+func cancelled(ctx context.Context) bool {
+	select {
+	case <-ctx.Done():
+		return true
+	default:
+		return false
+	}
+}
+
+// pollCtxUnderLock calls a context-polling helper under the lock: the
+// helper's summary does not block. Quiet.
+func (s *server) pollCtxUnderLock(ctx context.Context) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if cancelled(ctx) {
+		return 0
+	}
+	return s.ds.Len()
 }
 
 // allowed documents a deliberate exception in place.

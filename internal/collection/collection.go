@@ -110,14 +110,10 @@ func (c *Collection) Dim() int { return c.dim }
 // Tree exposes the spatial index for the query layers. The tree is mutated
 // in place by Insert/Update/Delete, so traversals must not run concurrently
 // with mutations (see the package concurrency contract).
-//
-//ordlint:borrows — the tree owns the packed slots its views alias
 func (c *Collection) Tree() *rtree.Tree { return c.tree }
 
 // Get returns the point stored under id; the vector aliases the tree's
 // packed slot (copy it to retain across mutations).
-//
-//ordlint:borrows — the vector aliases the tree's packed slot
 func (c *Collection) Get(id int) (geom.Vector, bool) { return c.tree.Point(id) }
 
 // NewID returns an id that is not in use and never was: one past the

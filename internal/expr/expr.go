@@ -136,18 +136,6 @@ func Seeds(d, count int) []geom.Vector {
 	return out
 }
 
-// MeasureAvg runs fn once per seed vector and returns the mean wall-clock
-// duration.
-func MeasureAvg(seeds []geom.Vector, fn func(w geom.Vector)) time.Duration {
-	var total time.Duration
-	for _, w := range seeds {
-		t0 := time.Now()
-		fn(w)
-		total += time.Since(t0)
-	}
-	return total / time.Duration(len(seeds))
-}
-
 // Row is one line of a figure table: a label and one value per x position.
 type Row struct {
 	Label string

@@ -61,18 +61,6 @@ func TestSeedsDeterministicOnSimplex(t *testing.T) {
 	}
 }
 
-func TestMeasureAvg(t *testing.T) {
-	seeds := Seeds(2, 3)
-	calls := 0
-	avg := MeasureAvg(seeds, func(w geom.Vector) { calls++ })
-	if calls != 3 {
-		t.Fatalf("fn called %d times", calls)
-	}
-	if avg < 0 {
-		t.Fatal("negative duration")
-	}
-}
-
 func TestBoxStats(t *testing.T) {
 	b := Box([]float64{5, 1, 3, 2, 4})
 	if b.Min != 1 || b.Max != 5 || b.Median != 3 || b.N != 5 {

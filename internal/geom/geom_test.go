@@ -168,9 +168,6 @@ func TestRectBasics(t *testing.T) {
 	if r.Area() != 6 {
 		t.Errorf("Area = %g", r.Area())
 	}
-	if r.Margin() != 5 {
-		t.Errorf("Margin = %g", r.Margin())
-	}
 	if !r.Contains(Vector{1, 1}) || r.Contains(Vector{3, 1}) {
 		t.Error("Contains misbehaves")
 	}
@@ -185,14 +182,8 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Enlargement(s); math.Abs(got-6) > 1e-12 {
 		t.Errorf("Enlargement = %g, want 6", got)
 	}
-	if !u.ContainsRect(r) || !u.ContainsRect(s) {
-		t.Error("union must contain operands")
-	}
 	if !r.TopCorner().Equal(Vector{2, 3}) {
 		t.Error("TopCorner wrong")
-	}
-	if !r.Center().Equal(Vector{1, 1.5}) {
-		t.Error("Center wrong")
 	}
 }
 

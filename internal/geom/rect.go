@@ -51,16 +51,6 @@ func (r Rect) Contains(p Vector) bool {
 	return true
 }
 
-// ContainsRect reports whether s lies entirely inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	for i := range r.Lo {
-		if s.Lo[i] < r.Lo[i] || s.Hi[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether r and s overlap (boundaries included).
 func (r Rect) Intersects(s Rect) bool {
 	for i := range r.Lo {
@@ -99,25 +89,7 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of edge lengths of r.
-func (r Rect) Margin() float64 {
-	m := 0.0
-	for i := range r.Lo {
-		m += r.Hi[i] - r.Lo[i]
-	}
-	return m
-}
-
 // Enlargement returns the increase in area of r needed to include s.
 func (r Rect) Enlargement(s Rect) float64 {
 	return r.Union(s).Area() - r.Area()
-}
-
-// Center returns the centre point of r.
-func (r Rect) Center() Vector {
-	c := make(Vector, len(r.Lo))
-	for i := range c {
-		c[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return c
 }

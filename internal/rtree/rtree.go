@@ -165,8 +165,6 @@ func (t *Tree) Child(n NodeRef, i int) NodeRef {
 // ChildLo returns the low corner of the i-th entry MBR of an internal
 // node. The vector is a view into the rect arena: valid until the next
 // mutation, read-only.
-//
-//ordlint:borrows — the vector aliases the tree's rect arena
 func (t *Tree) ChildLo(n NodeRef, i int) geom.Vector {
 	rb := t.rb(n, i)
 	return geom.Vector(t.rects[rb : rb+t.dim : rb+t.dim])
@@ -175,8 +173,6 @@ func (t *Tree) ChildLo(n NodeRef, i int) geom.Vector {
 // ChildHi returns the high (top) corner of the i-th entry MBR of an
 // internal node — the score upper bound BBS orders by. The vector is a
 // view into the rect arena: valid until the next mutation, read-only.
-//
-//ordlint:borrows — the vector aliases the tree's rect arena
 func (t *Tree) ChildHi(n NodeRef, i int) geom.Vector {
 	rb := t.rb(n, i) + t.dim
 	return geom.Vector(t.rects[rb : rb+t.dim : rb+t.dim])
@@ -191,16 +187,12 @@ func (t *Tree) LeafID(n NodeRef, i int) int {
 // LeafPoint returns the point of the i-th entry of a leaf (i < Count(n)).
 // The vector aliases the packed chunk storage: it stays valid until the
 // record is deleted (slot stability), but must be treated as read-only.
-//
-//ordlint:borrows — the vector aliases the packed chunk storage
 func (t *Tree) LeafPoint(n NodeRef, i int) geom.Vector {
 	return t.slotVec(t.ents[int(n)*t.entCap+i])
 }
 
 // Point returns the point stored under id. The vector aliases the packed
 // chunk storage (copy it to retain across deletions).
-//
-//ordlint:borrows — the vector aliases the packed chunk storage
 func (t *Tree) Point(id int) (geom.Vector, bool) {
 	slot, ok := t.slotOf[id]
 	if !ok {
@@ -232,8 +224,6 @@ func (t *Tree) rb(n NodeRef, i int) int {
 
 // slotVec returns the packed vector of a slot, capacity-capped so appends
 // by a caller can never clobber the neighbouring slot.
-//
-//ordlint:borrows — the vector aliases the packed chunk storage
 func (t *Tree) slotVec(slot int32) geom.Vector {
 	lo := (int(slot) % pointChunk) * t.dim
 	hi := lo + t.dim

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ordu"
@@ -63,16 +62,18 @@ func (c Config) withDefaults() Config {
 // namedDataset pairs a dataset with its registration generation and the
 // reader/writer lock serialising point mutations against queries. The
 // generation participates in cache keys, so replacing a dataset under the
-// same name (or bumping the generation as the invalidation fallback)
-// implicitly invalidates its cached results.
+// same name implicitly invalidates its cached results.
 type namedDataset struct {
 	ds *ordu.Dataset
 	// mu serialises point mutations (write-locked) against queries and
 	// stat reads (read-locked). Queries hold the read lock across the core
 	// computation and the cache fill, so a later mutation's invalidation
 	// scan always observes the filled entry.
-	mu  sync.RWMutex
-	gen atomic.Uint64
+	mu sync.RWMutex
+	// gen is set before AddDataset publishes the dataset and never
+	// changes: point writes invalidate through DropAbove, and a
+	// replacement publishes a new namedDataset.
+	gen uint64
 }
 
 // Server answers ORD/ORU queries over named in-memory datasets. Datasets
@@ -127,9 +128,7 @@ func (s *Server) AddDataset(name string, ds *ordu.Dataset) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextGen++
-	nd := &namedDataset{ds: ds}
-	nd.gen.Store(s.nextGen)
-	s.datasets[name] = nd
+	s.datasets[name] = &namedDataset{ds: ds, gen: s.nextGen}
 }
 
 // dataset returns a registered dataset.
@@ -160,7 +159,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, op string) 
 		return
 	}
 
-	key := cacheKey(op, req.Dataset, nd.gen.Load(), req.W, req.K, req.M)
+	key := cacheKey(op, req.Dataset, nd.gen, req.W, req.K, req.M)
 	if body, ok := s.cache.Get(key); ok {
 		w.Header().Set("X-Cache", "HIT")
 		s.reply(w, op, start, http.StatusOK, body)
@@ -190,22 +189,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, op string) 
 	}
 	defer release()
 
-	// The read lock covers the core computation, the marshal (output
-	// records alias the dataset's packed storage) and the cache fill, so a
-	// concurrent mutation either happens-before this query or runs its
-	// invalidation scan after the entry exists.
+	// The read lock spans the query, the marshal and the cache fill. A
+	// write's DropAbove runs under the write lock, so it either precedes
+	// the query or scans the cache after the fill. Released earlier, a
+	// write could invalidate between the query and the fill, and the
+	// stale body would be cached with nothing left to drop it.
+	// TestQueryLockSpansCacheFill pins the span.
 	nd.mu.RLock()
 	var resp *QueryResponse
 	switch op {
 	case "ord":
-		res, qerr := nd.ds.ORDCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockmode — reader lock by design: ORDCtx returns borrows (//ordlint:borrows) that borrowck keeps inside this region, so the lock must span query, marshal and cache fill; ctx bounds the hold time
+		res, qerr := nd.ds.ORDCtx(ctx, req.W, req.K, req.M)
 		if qerr != nil {
 			err = qerr
 		} else {
 			resp = NewORDResponse(res)
 		}
 	case "oru":
-		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockmode — reader lock by design: ORUCtx returns borrows the lock must cover; see the ORD arm above
+		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockmode — the explorer's wg.Wait joins its own CPU-bound partition batch, not I/O; the read lock must span query, marshal and cache fill (see above), and ctx bounds the hold time
 		if qerr != nil {
 			err = qerr
 		} else {
@@ -353,6 +354,46 @@ func generate(g *GeneratorSpec) ([][]float64, error) {
 	return out, nil
 }
 
+// Caps on the generator spec of POST /datasets, so one request cannot make
+// the server allocate without bound. ordud's startup flags are not capped.
+const (
+	// maxGenDims bounds d: the paper's widest dataset is NBA's 8, and the
+	// QP and linalg workspaces grow with d².
+	maxGenDims = 16
+	// maxGenCoords bounds n·d: the largest canonical dataset, HOUSE's
+	// 315,265 × 6, holds under half of it.
+	maxGenCoords = 1 << 22
+)
+
+// checkGenSize rejects a generator spec over the caps. The real-like
+// generators have a fixed d and fall back to their canonical n when n <= 0.
+func checkGenSize(g *GeneratorSpec) error {
+	n, d := g.N, g.D
+	canonical := func(cn, cd int) {
+		if n <= 0 {
+			n = cn
+		}
+		d = cd
+	}
+	switch strings.ToUpper(g.Dist) {
+	case "HOTEL":
+		canonical(data.HotelN, data.HotelD)
+	case "HOUSE":
+		canonical(data.HouseN, data.HouseD)
+	case "NBA":
+		canonical(data.NBAN, data.NBAD)
+	case "TA":
+		canonical(data.TAN, data.TAD)
+	}
+	if d > maxGenDims {
+		return fmt.Errorf("generator d = %d exceeds %d", d, maxGenDims)
+	}
+	if d > 0 && n > maxGenCoords/d {
+		return fmt.Errorf("generator n·d = %d·%d exceeds %d coordinates", n, d, maxGenCoords)
+	}
+	return nil
+}
+
 func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req DatasetRequest
@@ -370,6 +411,10 @@ func (s *Server) handleAddDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Generator == nil {
 		s.fail(w, "datasets", start, http.StatusBadRequest, "missing generator")
+		return
+	}
+	if err := checkGenSize(req.Generator); err != nil {
+		s.fail(w, "datasets", start, http.StatusBadRequest, err.Error())
 		return
 	}
 	ds, err := BuildDataset("", req.Generator)

@@ -9,9 +9,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"ordu"
 	"ordu/internal/data"
@@ -401,6 +403,32 @@ func TestDatasetRequestCannotNameAFile(t *testing.T) {
 	}
 }
 
+// TestGeneratorCaps: POST /datasets rejects a generator spec over the d or
+// n·d cap with a 400 before generating anything, and registers nothing. A
+// canonical real-like spec stays under both caps.
+func TestGeneratorCaps(t *testing.T) {
+	s := New(Config{})
+	for _, body := range []string{
+		`{"name":"big","generator":{"dist":"IND","n":100000000,"d":4}}`,
+		`{"name":"wide","generator":{"dist":"IND","n":100,"d":1000}}`,
+	} {
+		start := time.Now()
+		rec := do(t, s.Handler(), "POST", "/datasets", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400: %s", body, rec.Code, rec.Body.String())
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("body %s: the 400 took %v", body, el)
+		}
+	}
+	if list := decode[[]DatasetInfo](t, do(t, s.Handler(), "GET", "/datasets", "")); len(list) != 0 {
+		t.Fatalf("datasets registered: %+v", list)
+	}
+	if rec := do(t, s.Handler(), "POST", "/datasets", `{"name":"ta","generator":{"dist":"TA"}}`); rec.Code != http.StatusCreated {
+		t.Fatalf("canonical TA: status %d: %s", rec.Code, rec.Body.String())
+	}
+}
+
 // TestConcurrentQueries drives >= 8 concurrent queries through one dataset;
 // run under -race (make test does) it checks the whole serving surface for
 // data races.
@@ -705,4 +733,76 @@ func TestConcurrentMutationsAndQueries(t *testing.T) {
 	if snap.Mutations.Inserts == 0 {
 		t.Fatalf("no inserts recorded: %+v", snap.Mutations)
 	}
+}
+
+// TestQueryLockSpansCacheFill pins the query's read-lock span: the lock is
+// held from the core call until the cache fill returns. Released earlier,
+// it would let a write's DropAbove run between the query and its fill and
+// leave a stale body cached. The test catches a query holding the read
+// lock, then holds the cache's mutex so the query parks in cache.Put. For
+// a window far longer than a whole uncached query, the dataset's write
+// lock must stay unavailable.
+func TestQueryLockSpansCacheFill(t *testing.T) {
+	s := testServer(t, Config{}, 4000)
+	nd, _ := s.dataset("main")
+	h := s.Handler()
+	query := func(i int) (string, string) {
+		req := QueryRequest{Dataset: "main", W: []float64{0.4 + 0.001*float64(i), 0.4 - 0.001*float64(i), 0.2}, K: 3, M: 20}
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body), cacheKey("ord", req.Dataset, nd.gen, req.W, req.K, req.M)
+	}
+	body, _ := query(0)
+	start := time.Now()
+	if rec := do(t, h, "POST", "/query/ord", body); rec.Code != http.StatusOK {
+		t.Fatalf("uncached query: %d %s", rec.Code, rec.Body.String())
+	}
+	window := 20*time.Since(start) + 50*time.Millisecond
+	// readLocked spins until a query holds the read lock, or reports false
+	// once the query finished uncaught.
+	readLocked := func(done <-chan *httptest.ResponseRecorder) bool {
+		for nd.mu.TryLock() {
+			nd.mu.Unlock()
+			select {
+			case <-done:
+				return false
+			default:
+				runtime.Gosched()
+			}
+		}
+		return true
+	}
+
+	// Each attempt uses a fresh seed, so its query misses the cache.
+	for i := 1; i <= 50; i++ {
+		body, key := query(i)
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() { done <- do(t, h, "POST", "/query/ord", body) }()
+		if !readLocked(done) {
+			continue
+		}
+		s.cache.mu.Lock()
+		if _, filled := s.cache.items[key]; filled {
+			// The query filled the cache before the test could hold it.
+			s.cache.mu.Unlock()
+			<-done
+			continue
+		}
+		for end := time.Now().Add(window); time.Now().Before(end); time.Sleep(100 * time.Microsecond) {
+			if nd.mu.TryLock() {
+				nd.mu.Unlock()
+				s.cache.mu.Unlock()
+				<-done
+				t.Fatalf("the dataset's write lock was free while a query waited to fill the cache")
+			}
+		}
+		s.cache.mu.Unlock()
+		if rec := <-done; rec.Code != http.StatusOK {
+			t.Fatalf("query: %d %s", rec.Code, rec.Body.String())
+		}
+		return
+	}
+	t.Fatal("no attempt caught a query holding the read lock")
 }

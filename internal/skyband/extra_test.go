@@ -118,8 +118,8 @@ func TestScannerObserverHooks(t *testing.T) {
 	if sc.Visited() != popped {
 		t.Fatalf("Visited %d != popped %d", sc.Visited(), popped)
 	}
-	if !sc.Exhausted() {
-		t.Fatal("scanner not exhausted after full drain")
+	if _, _, ok := sc.Next(nil); ok {
+		t.Fatal("scanner yielded after a full drain")
 	}
 }
 

@@ -152,6 +152,3 @@ func (s *Scanner) Next(pruner Pruner) (id int, p geom.Vector, ok bool) {
 // the paper's disk-based analysis. Entries the pruner rejects at push are
 // never pushed, so they are not counted.
 func (s *Scanner) Visited() int { return s.visited }
-
-// Exhausted reports whether the scan has no remaining entries.
-func (s *Scanner) Exhausted() bool { return s.h.Len() == 0 }

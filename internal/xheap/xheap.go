@@ -79,17 +79,6 @@ func (h *Heap[T]) Reset() {
 	h.s = h.s[:0]
 }
 
-// Grow ensures capacity for at least n additional elements.
-//
-//ordlint:noalloc
-func (h *Heap[T]) Grow(n int) {
-	if cap(h.s)-len(h.s) < n {
-		grown := make([]T, len(h.s), len(h.s)+n)
-		copy(grown, h.s)
-		h.s = grown
-	}
-}
-
 // Items exposes the underlying slice in heap order (the minimum is at index
 // 0; the rest follow heap, not sorted, order). The slice is owned by the
 // heap: it is valid only until the next heap operation and must not be

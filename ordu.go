@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"ordu/internal/collection"
@@ -54,16 +55,18 @@ type Dataset struct {
 	col *collection.Collection
 }
 
-// tree returns the backing spatial index.
-//
-//ordlint:borrows — the tree owns the packed slots its views alias
+// tree returns the backing spatial index. Its point views alias the
+// packed slots that writes update in place, so they never leave this
+// package: every Result copies its record (see slab).
 func (ds *Dataset) tree() *rtree.Tree { return ds.col.Tree() }
 
 // Result is one record returned by a query.
 type Result struct {
 	// ID identifies the record (assigned in input order by NewDataset).
 	ID int
-	// Record holds the record's attributes.
+	// Record holds the record's attributes. The slice is the caller's: a
+	// later write to the dataset does not change it, and writing to it
+	// does not change the dataset.
 	Record []float64
 	// Score is the utility for the query's preference vector, when one was
 	// involved (0 otherwise).
@@ -143,13 +146,10 @@ func (ds *Dataset) Len() int { return ds.col.Len() }
 // Dim returns the number of attributes per record.
 func (ds *Dataset) Dim() int { return ds.col.Dim() }
 
-// Record returns the attributes of a record by id. The slice aliases the
-// R-tree's packed slot: copy it to retain across mutations.
-//
-//ordlint:borrows — the slice aliases the packed storage
+// Record returns a copy of the attributes of a record by id.
 func (ds *Dataset) Record(id int) ([]float64, bool) {
 	p, ok := ds.col.Get(id)
-	return p, ok
+	return slices.Clone(p), ok
 }
 
 // Stats snapshots the backing collection's bookkeeping: live count, dims,
@@ -224,6 +224,22 @@ func (ds *Dataset) prepW(w []float64) (geom.Vector, error) {
 	return v.Clone(), nil
 }
 
+// slab hands out copies of records' attributes from one backing array, so
+// an answer allocates its coordinates once and every slice it returns is
+// the caller's own.
+type slab []float64
+
+// newSlab returns a slab sized for n records of ds.
+func (ds *Dataset) newSlab(n int) slab { return make(slab, 0, n*ds.Dim()) }
+
+// clone copies p into the slab, capacity-capped so an append by the
+// caller cannot spill into the next record.
+func (s *slab) clone(p []float64) []float64 {
+	lo := len(*s)
+	*s = append(*s, p...)
+	return (*s)[lo:len(*s):len(*s)]
+}
+
 // checkK validates a rank parameter; failures wrap ErrBadParams.
 func checkK(k int) error {
 	if k < 1 {
@@ -247,9 +263,7 @@ func checkKM(k, m int) error {
 }
 
 // TopK returns the k records with the highest utility for w, best first
-// (BBR branch-and-bound ranked retrieval).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
+// (BBR branch-and-bound ranked retrieval). The records are the caller's.
 func (ds *Dataset) TopK(w []float64, k int) ([]Result, error) {
 	v, err := ds.prepW(w)
 	if err != nil {
@@ -259,50 +273,48 @@ func (ds *Dataset) TopK(w []float64, k int) ([]Result, error) {
 		return nil, err
 	}
 	rs := topk.TopK(ds.tree(), v, k)
+	s := ds.newSlab(len(rs))
 	out := make([]Result, len(rs))
 	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Record: r.Point, Score: r.Score}
+		out[i] = Result{ID: r.ID, Record: s.clone(r.Point), Score: r.Score}
 	}
 	return out, nil
 }
 
-// Skyline returns the records dominated by no other (BBS).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
+// Skyline returns the records dominated by no other (BBS). The records are
+// the caller's.
 func (ds *Dataset) Skyline() []Result {
-	ms := skyband.Skyline(ds.tree())
-	out := make([]Result, len(ms))
-	for i, m := range ms {
-		out[i] = Result{ID: m.ID, Record: m.Point}
-	}
-	return out
+	return ds.members(skyband.Skyline(ds.tree()))
 }
 
-// KSkyband returns the records dominated by fewer than k others (BBS).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
+// KSkyband returns the records dominated by fewer than k others (BBS). The
+// records are the caller's.
 func (ds *Dataset) KSkyband(k int) ([]Result, error) {
 	if err := checkK(k); err != nil {
 		return nil, err
 	}
-	ms := skyband.KSkyband(ds.tree(), k)
+	return ds.members(skyband.KSkyband(ds.tree(), k)), nil
+}
+
+// members copies skyband members out as Results.
+func (ds *Dataset) members(ms []skyband.Member) []Result {
+	s := ds.newSlab(len(ms))
 	out := make([]Result, len(ms))
 	for i, m := range ms {
-		out[i] = Result{ID: m.ID, Record: m.Point}
+		out[i] = Result{ID: m.ID, Record: s.clone(m.Point)}
 	}
-	return out, nil
+	return out
 }
 
 // OSSkyline returns the m skyline records that dominate the most records
 // (the output-size-specified skyline of Lin et al. [49], the qualitative
-// baseline of the paper's Section 6.1).
-//
-//ordlint:borrows — Result.Record aliases the packed storage
+// baseline of the paper's Section 6.1). The records are the caller's.
 func (ds *Dataset) OSSkyline(m int) []Result {
 	rs := osskyline.TopM(ds.tree(), m)
+	s := ds.newSlab(len(rs))
 	out := make([]Result, len(rs))
 	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Record: r.Point, Score: float64(r.Count)}
+		out[i] = Result{ID: r.ID, Record: s.clone(r.Point), Score: float64(r.Count)}
 	}
 	return out
 }
@@ -310,9 +322,8 @@ func (ds *Dataset) OSSkyline(m int) []Result {
 // ORDCtx runs the paper's dominance-flavoured operator (Definition 1). The
 // retrieval polls ctx cooperatively and aborts with an error wrapping
 // ctx.Err() once the context is cancelled or its deadline passes — the
-// hook the serving layer uses for per-request deadlines.
-//
-//ordlint:borrows — Result.Record aliases the packed storage
+// hook the serving layer uses for per-request deadlines. The result is
+// the caller's.
 func (ds *Dataset) ORDCtx(ctx context.Context, w []float64, k, m int) (*ORDResult, error) {
 	v, err := ds.prepW(w)
 	if err != nil {
@@ -325,9 +336,10 @@ func (ds *Dataset) ORDCtx(ctx context.Context, w []float64, k, m int) (*ORDResul
 	if err != nil {
 		return nil, err
 	}
-	out := &ORDResult{Rho: res.Rho, Radii: res.Radii}
-	for _, r := range res.Records {
-		out.Records = append(out.Records, Result{ID: r.ID, Record: r.Point, Score: v.Dot(r.Point)})
+	s := ds.newSlab(len(res.Records))
+	out := &ORDResult{Rho: res.Rho, Radii: res.Radii, Records: make([]Result, len(res.Records))}
+	for i, r := range res.Records {
+		out.Records[i] = Result{ID: r.ID, Record: s.clone(r.Point), Score: v.Dot(r.Point)}
 	}
 	return out, nil
 }
@@ -335,9 +347,8 @@ func (ds *Dataset) ORDCtx(ctx context.Context, w []float64, k, m int) (*ORDResul
 // ORUCtx runs the paper's ranking-flavoured operator (Definition 2),
 // partitioning as many preference regions at once as GOMAXPROCS allows —
 // the parallelisation the paper proposes in Section 6.4; the result does
-// not depend on it. ctx is polled as in ORDCtx.
-//
-//ordlint:borrows — Result.Record aliases the packed storage
+// not depend on it. ctx is polled as in ORDCtx. The result is the
+// caller's; a region's TopK shares the record slices of Records.
 func (ds *Dataset) ORUCtx(ctx context.Context, w []float64, k, m int) (*ORUResult, error) {
 	v, err := ds.prepW(w)
 	if err != nil {
@@ -350,16 +361,21 @@ func (ds *Dataset) ORUCtx(ctx context.Context, w []float64, k, m int) (*ORUResul
 	if err != nil {
 		return nil, err
 	}
-	out := &ORUResult{Rho: res.Rho}
-	for _, r := range res.Records {
-		out.Records = append(out.Records, Result{ID: r.ID, Record: r.Point, Score: v.Dot(r.Point)})
+	// Every region's top-k records are among Records, so one copy of each
+	// serves both.
+	s := ds.newSlab(len(res.Records))
+	copies := make(map[int][]float64, len(res.Records))
+	out := &ORUResult{Rho: res.Rho, Records: make([]Result, len(res.Records)), Regions: make([]RegionTopK, len(res.Regions))}
+	for i, r := range res.Records {
+		copies[r.ID] = s.clone(r.Point)
+		out.Records[i] = Result{ID: r.ID, Record: copies[r.ID], Score: v.Dot(r.Point)}
 	}
-	for _, reg := range res.Regions {
-		rt := RegionTopK{MinDist: reg.MinDist, Witness: reg.Witness}
-		for _, r := range reg.TopK {
-			rt.TopK = append(rt.TopK, Result{ID: r.ID, Record: r.Point})
+	for i, reg := range res.Regions {
+		rt := RegionTopK{MinDist: reg.MinDist, Witness: reg.Witness, TopK: make([]Result, len(reg.TopK))}
+		for j, r := range reg.TopK {
+			rt.TopK[j] = Result{ID: r.ID, Record: copies[r.ID]}
 		}
-		out.Regions = append(out.Regions, rt)
+		out.Regions[i] = rt
 	}
 	return out, nil
 }

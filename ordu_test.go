@@ -1,7 +1,9 @@
 package ordu
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -97,6 +99,87 @@ func TestDatasetDoesNotAliasInput(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("ORD answer moved after the caller overwrote its records:\n%+v\n%+v", before, after)
+	}
+}
+
+// TestResultsDoNotAliasDataset overwrites every coordinate of every record
+// slice the query methods return, then checks the dataset did not change:
+// each Record(id) still equals its input and each query repeats its answer.
+func TestResultsDoNotAliasDataset(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(29)), 300, 3)
+	ds, err := NewDataset(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	w := []float64{0.5, 0.3, 0.2}
+	type answers struct {
+		ORD                                *ORDResult
+		ORU                                *ORUResult
+		TopK, Skyline, KSkyband, OSSkyline []Result
+		Records                            [][]float64
+	}
+	query := func() answers {
+		t.Helper()
+		var a answers
+		var err error
+		if a.ORD, err = ds.ORDCtx(ctx, w, 2, 10); err != nil {
+			t.Fatal(err)
+		}
+		if a.ORU, err = ds.ORUCtx(ctx, w, 2, 10); err != nil {
+			t.Fatal(err)
+		}
+		if a.TopK, err = ds.TopK(w, 5); err != nil {
+			t.Fatal(err)
+		}
+		a.Skyline = ds.Skyline()
+		if a.KSkyband, err = ds.KSkyband(2); err != nil {
+			t.Fatal(err)
+		}
+		a.OSSkyline = ds.OSSkyline(5)
+		for id := range recs {
+			r, ok := ds.Record(id)
+			if !ok {
+				t.Fatalf("Record(%d) missing", id)
+			}
+			a.Records = append(a.Records, r)
+		}
+		return a
+	}
+	got := query()
+	before, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scribble := func(rs []Result) {
+		for _, r := range rs {
+			for j := range r.Record {
+				r.Record[j] = -1
+			}
+		}
+	}
+	for _, rs := range [][]Result{got.ORD.Records, got.ORU.Records, got.TopK, got.Skyline, got.KSkyband, got.OSSkyline} {
+		scribble(rs)
+	}
+	for _, reg := range got.ORU.Regions {
+		scribble(reg.TopK)
+	}
+	for _, r := range got.Records {
+		for j := range r {
+			r[j] = -1
+		}
+	}
+	for id, r := range recs {
+		if p, ok := ds.Record(id); !ok || !reflect.DeepEqual(p, r) {
+			t.Fatalf("Record(%d) = %v, %v after the caller overwrote its answers; want %v", id, p, ok, r)
+		}
+	}
+	after, err := json.Marshal(query())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("answers moved after the caller overwrote them:\n%s\n%s", before, after)
 	}
 }
 
