@@ -58,7 +58,6 @@ benchdiff:
 # Exercise the property-based fuzz targets beyond their seed corpora.
 fuzz:
 	$(GO) test ./internal/geom -fuzz FuzzDominates -fuzztime 30s
-	$(GO) test ./internal/lp -fuzz FuzzSimplexLP -fuzztime 30s
 	$(GO) test ./internal/rtree -fuzz FuzzFlatTreeMutations -fuzztime 30s
 	$(GO) test ./internal/skyband -fuzz FuzzIRD -fuzztime 30s
 	$(GO) test ./internal/core -fuzz FuzzORD -fuzztime 30s

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	go run ./cmd/ordlint ./...            # whole module (the CI invocation)
-//	go run ./cmd/ordlint ./internal/lp    # one package
+//	go run ./cmd/ordlint ./internal/qp    # one package
 //	go run ./cmd/ordlint -check noalloc,lockmode ./...
 //	go run ./cmd/ordlint -json ./...      # NDJSON findings, one object per line
 //	go run ./cmd/ordlint -stats ./...     # NDJSON call-graph/summary statistics

@@ -320,8 +320,10 @@ func TestORUContainsTopK(t *testing.T) {
 	}
 }
 
-// TestORURegionsAreCorrect: every finalized region's top-k must equal the
-// exact (order-sensitive) global top-k at the region's feasible point.
+// TestORURegionsAreCorrect: every finalized region, rebuilt by definition
+// from its ordered top-k list alone over all records (each listed record
+// beats the next, the last beats every other record), holds somewhere, and
+// its point closest to the seed lies at the region's MinDist.
 func TestORURegionsAreCorrect(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for trial := 0; trial < 4; trial++ {
@@ -346,31 +348,32 @@ func TestORURegionsAreCorrect(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: no feasible m at all", trial)
 		}
+		var ws region.Workspace
 		for ri, reg := range res.Regions {
-			var ws region.Workspace
-			v, ok := reg.Region.FeasiblePointWS(&ws)
-			if !ok {
-				t.Fatalf("trial %d: finalized region %d empty", trial, ri)
+			if len(reg.TopK) != k {
+				t.Fatalf("trial %d region %d: top-k holds %d records, want %d", trial, ri, len(reg.TopK), k)
 			}
-			type sc struct {
-				id int
-				s  float64
-			}
-			all := make([]sc, len(pts))
-			for i, p := range pts {
-				all[i] = sc{i, p.Dot(v)}
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i].s > all[j].s })
-			for r := 0; r < len(reg.TopK) && r < k; r++ {
-				if all[r].id != reg.TopK[r].ID {
-					// The feasible point may sit on a region boundary where
-					// two records tie; tolerate only exact score ties.
-					if math.Abs(all[r].s-pts[reg.TopK[r].ID].Dot(v)) > 1e-9 {
-						t.Fatalf("trial %d region %d rank %d: claimed %d, true %d (scores %g vs %g)",
-							trial, ri, r, reg.TopK[r].ID, all[r].id,
-							pts[reg.TopK[r].ID].Dot(v), all[r].s)
-					}
+			listed := map[int]bool{}
+			var hs []region.Halfspace
+			for i, r := range reg.TopK {
+				listed[r.ID] = true
+				if i+1 < k {
+					hs = append(hs, region.Beat(r.Point, reg.TopK[i+1].Point))
 				}
+			}
+			last := reg.TopK[k-1].Point
+			for id, p := range pts {
+				if !listed[id] {
+					hs = append(hs, region.Beat(last, p))
+				}
+			}
+			dist, _, ok := region.Region{Dim: d, Hs: hs}.MinDistWS(w, &ws)
+			if !ok {
+				t.Fatalf("trial %d region %d: no preference vector has the top-k %v", trial, ri, reg.TopK)
+			}
+			if math.Abs(dist-reg.MinDist) > 1e-7 {
+				t.Fatalf("trial %d region %d: its top-k first holds %.12g from the seed, MinDist %.12g",
+					trial, ri, dist, reg.MinDist)
 			}
 		}
 	}

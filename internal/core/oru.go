@@ -32,9 +32,8 @@ var ErrBudgetExceeded = errors.New("core: region budget exceeded")
 // reg.Hs and hsBack is one contiguous float64 run holding every normal
 // vector (inherited parent rows are deep-copied in, new beat rows carved
 // after them). Nothing outside the node references either buffer — a
-// child copies all rows into its own backing, and finalize detaches the
-// buffers before the node is pooled — so recycling a node safely reuses
-// both, and the QP assembly sweeps one contiguous run per region.
+// child copies all rows into its own backing — so recycling a node safely
+// reuses both, and the QP assembly sweeps one contiguous run per region.
 //
 // Below hull.PairwiseDim a node that can still be partitioned also keeps
 // the vertex list of its region in vl, pooled with the node: a root clips
@@ -117,10 +116,8 @@ func (ws *exploreWS) node() *regionNode {
 
 // recycle returns a node to the free list. Callers must be done with every
 // field: the region value (and its node-owned constraint buffers), top
-// slice and witness buffer will be reused. Callers whose region escaped to
-// an output (finalize's TopKRegion keeps reg.Hs by reference) must detach
-// hsBuf/hsBack — and drop reg — before recycling; everyone else's buffers
-// are node-private by construction (children deep-copy every row).
+// slice and witness buffer will be reused. The constraint buffers are
+// node-private by construction (children deep-copy every row).
 func (ws *exploreWS) recycle(n *regionNode) {
 	if n.reg.Hs != nil {
 		n.hsBuf = n.reg.Hs[:0]
@@ -771,10 +768,9 @@ func witnessInside(w geom.Vector, hs []region.Halfspace) bool {
 }
 
 // finalize records a completed region and its newly confirmed records, then
-// recycles the node. The retained TopKRegion keeps n.reg's constraint rows
-// and n.witness by reference, so the node's pooled buffers are detached
-// (left to the output) before the node returns to the free list; the next
-// region built on the recycled node simply grows fresh buffers. Batched
+// recycles the node. The retained TopKRegion keeps n.witness by reference,
+// so the witness buffer is detached (left to the output) before the node
+// returns to the free list; the node keeps its constraint buffers. Batched
 // partitions that order no later than n in the heap are ones the
 // one-at-a-time order reaches before n, so they leave e.ahead.
 func (e *explorer) finalize(n *regionNode) {
@@ -788,10 +784,7 @@ func (e *explorer) finalize(n *regionNode) {
 			e.records = append(e.records, Record{ID: id, Point: e.layers.Point(id)})
 		}
 	}
-	e.regions = append(e.regions, TopKRegion{Region: n.reg, TopK: tk, MinDist: n.mindist, Witness: n.witness})
-	n.reg = region.Region{}
-	n.hsBuf = nil
-	n.hsBack = nil
+	e.regions = append(e.regions, TopKRegion{TopK: tk, MinDist: n.mindist, Witness: n.witness})
 	n.witness = nil
 	e.ws.recycle(n)
 }

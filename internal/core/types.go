@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"ordu/internal/geom"
-	"ordu/internal/region"
 	"ordu/internal/rtree"
 )
 
@@ -57,9 +56,12 @@ type ORDResult struct {
 }
 
 // TopKRegion is one finalized preference region with its order-sensitive
-// top-k result — the by-product output of ORU (Section 5.3.1, Case 2).
+// top-k result — the by-product output of ORU (Section 5.3.1, Case 2). The
+// region is the set of preference vectors (within the clip polytope, for
+// EnumerateWithin) at which TopK is the ordered top-k, so it can be
+// rebuilt from that list alone, as _bench/check.go does: TopK[i]
+// outscores TopK[i+1], and the last outscores every other record.
 type TopKRegion struct {
-	Region  region.Region
 	TopK    []Record
 	MinDist float64
 	// Witness is the region's point closest to the seed (within the clip

@@ -224,19 +224,6 @@ func NBA2019(seed int64) []Player {
 	return players
 }
 
-// Project returns the points restricted to the given attribute indices.
-func Project(pts []geom.Vector, dims ...int) []geom.Vector {
-	out := make([]geom.Vector, len(pts))
-	for i, p := range pts {
-		q := make(geom.Vector, len(dims))
-		for j, dj := range dims {
-			q[j] = p[dj]
-		}
-		out[i] = q
-	}
-	return out
-}
-
 // TripAdvisor synthesises the TA dataset: 1,850 hotels rated on 7 aspects
 // with strong positive correlation (the paper notes its 5-skyband holds
 // only 61 hotels). n <= 0 uses the canonical cardinality.

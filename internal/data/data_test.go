@@ -172,14 +172,6 @@ func TestNBA2019CaseStudyShape(t *testing.T) {
 	}
 }
 
-func TestProject(t *testing.T) {
-	pts := []geom.Vector{{1, 2, 3}, {4, 5, 6}}
-	got := Project(pts, 2, 0)
-	if !got[0].Equal(geom.Vector{3, 1}) || !got[1].Equal(geom.Vector{6, 4}) {
-		t.Fatalf("Project = %v", got)
-	}
-}
-
 func TestDefaultCardinalities(t *testing.T) {
 	if n := len(TripAdvisor(0, 1)); n != TAN {
 		t.Errorf("TA default n = %d", n)

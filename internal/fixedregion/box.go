@@ -15,9 +15,7 @@ const (
 	// as non-negative, a maximum above rdomTol as strictly positive, and
 	// bound sums within rdomTol of 1 meet the simplex. In the closed form
 	// each is a sum of d terms of order 1, whose rounding is a few 1e-16,
-	// so rdomTol leaves three orders of headroom. The LP reference
-	// RDominates shares it, so both tests decide a pair the same way
-	// (TestBoxRDominanceMatchesGeneral).
+	// so rdomTol leaves three orders of headroom.
 	rdomTol = 1e-12
 	// massTol is the simplex mass MinOver's greedy fill may leave over.
 	// Feasible has already checked that the upper bounds sum to at least
@@ -120,9 +118,10 @@ func (b *BoxRegion) MinOver(a geom.Vector) (float64, bool) {
 	return val, true
 }
 
-// RDominatesBox is RDominates specialised to hypercube regions via the
-// closed-form minimiser: ri scores at least as high as rj everywhere in
-// the box (and strictly higher somewhere).
+// RDominatesBox reports whether ri R-dominates rj over the box ([20]): ri
+// scores at least as high as rj everywhere in the box, and strictly higher
+// somewhere. Both are decided by the closed-form minimiser, once on the
+// score difference and once on its negation.
 //
 //ordlint:noalloc
 func RDominatesBox(b *BoxRegion, ri, rj geom.Vector) bool {

@@ -9,9 +9,10 @@ import (
 	"ordu/internal/raceflag"
 )
 
-// TestBoxMinOverMatchesLP cross-checks the closed-form box minimiser
-// against the general LP solver on random boxes and objectives.
-func TestBoxMinOverMatchesLP(t *testing.T) {
+// TestBoxMinOverMatchesVertices cross-checks the closed-form box
+// minimiser against the minimum over the box's vertices on random boxes
+// and objectives.
+func TestBoxMinOverMatchesVertices(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for iter := 0; iter < 300; iter++ {
 		d := 2 + rng.Intn(5)
@@ -23,16 +24,18 @@ func TestBoxMinOverMatchesLP(t *testing.T) {
 			a[i] = rng.NormFloat64()
 		}
 		gv, gok := box.MinOver(a)
-		lv, lok := MinOver(box.Region(), a)
-		if gok != lok {
-			t.Fatalf("iter %d: greedy ok=%v, LP ok=%v (side=%g)", iter, gok, lok, side)
+		vv, vok := minAtVertices(boxVertices(box), a)
+		if gok != vok {
+			t.Fatalf("iter %d: greedy ok=%v, vertices ok=%v (side=%g)", iter, gok, vok, side)
 		}
-		if gok && math.Abs(gv-lv) > 1e-7 {
-			t.Fatalf("iter %d: greedy %g, LP %g", iter, gv, lv)
+		if gok && math.Abs(gv-vv) > 1e-7 {
+			t.Fatalf("iter %d: greedy %g, vertices %g", iter, gv, vv)
 		}
 	}
 }
 
+// TestBoxRDominanceMatchesGeneral cross-checks the closed-form
+// R-dominance test against R-dominance decided at the box's vertices.
 func TestBoxRDominanceMatchesGeneral(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for iter := 0; iter < 200; iter++ {
@@ -45,8 +48,8 @@ func TestBoxRDominanceMatchesGeneral(t *testing.T) {
 			ri[i] = rng.Float64()
 			rj[i] = rng.Float64()
 		}
-		if RDominatesBox(box, ri, rj) != RDominates(box.Region(), ri, rj) {
-			t.Fatalf("iter %d: box and general R-dominance disagree", iter)
+		if RDominatesBox(box, ri, rj) != rDominatesAtVertices(boxVertices(box), ri, rj) {
+			t.Fatalf("iter %d: closed-form and vertex R-dominance disagree", iter)
 		}
 	}
 }

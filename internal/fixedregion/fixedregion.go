@@ -14,58 +14,9 @@ import (
 
 	"ordu/internal/core"
 	"ordu/internal/geom"
-	"ordu/internal/lp"
-	"ordu/internal/region"
 	"ordu/internal/rtree"
 	"ordu/internal/skyband"
 )
-
-// MinOver minimises the linear function a.v over reg (intersected with the
-// simplex). ok is false when the region is empty.
-func MinOver(reg region.Region, a geom.Vector) (float64, bool) {
-	d := reg.Dim
-	ones := make([]float64, d)
-	for i := range ones {
-		ones[i] = 1
-	}
-	pr := &lp.Problem{
-		C:   a,
-		EqA: [][]float64{ones},
-		EqB: []float64{1},
-	}
-	for _, h := range reg.Hs {
-		neg := make([]float64, d)
-		for j := range h.A {
-			neg[j] = -h.A[j]
-		}
-		pr.InA = append(pr.InA, neg)
-		pr.InB = append(pr.InB, -h.B)
-	}
-	_, val, st, err := lp.Solve(pr)
-	if err != nil || st != lp.Optimal {
-		return 0, false
-	}
-	return val, true
-}
-
-// RDominates reports whether ri R-dominates rj over reg: ri scores at least
-// as high everywhere in the region and strictly higher somewhere ([20],
-// one linear check per extreme vertex — realised here as two LPs, which
-// handles clipped polytopes whose vertices are not explicitly available).
-func RDominates(reg region.Region, ri, rj geom.Vector) bool {
-	diff := ri.Sub(rj)
-	lo, ok := MinOver(reg, diff)
-	if !ok || lo < -rdomTol {
-		return false
-	}
-	// Strictness: the maximum of diff.v must be positive.
-	neg := diff.Scale(-1)
-	hi, ok := MinOver(reg, neg)
-	if !ok {
-		return false
-	}
-	return -hi > rdomTol
-}
 
 // rPruner prunes points R-dominated by at least K registered records,
 // using the closed-form hypercube dominance test.

@@ -46,34 +46,6 @@ func TestIRDEmptyTree(t *testing.T) {
 	}
 }
 
-// TestIRDFetchedCount grows monotonically and bounds the release count.
-func TestIRDFetchedCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(142))
-	pts := randPoints(rng, 200, 3)
-	tr := rtree.BulkLoad(pts)
-	w := geom.RandSimplex(rng, 3)
-	ird := NewIRD(tr, w, 2)
-	released := 0
-	prevFetched := 0
-	for i := 0; i < 20; i++ {
-		_, ok, err := ird.NextCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		released++
-		if ird.FetchedCount() < prevFetched {
-			t.Fatal("FetchedCount decreased")
-		}
-		prevFetched = ird.FetchedCount()
-	}
-	if ird.FetchedCount() < released {
-		t.Fatalf("fetched %d < released %d", ird.FetchedCount(), released)
-	}
-}
-
 // TestMindistZeroRadiusSemantics: mindist is always >= 0 and a
 // higher-scoring record always rho-dominates at radius 0.
 func TestMindistZeroRadiusSemantics(t *testing.T) {

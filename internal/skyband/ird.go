@@ -226,7 +226,3 @@ func (ird *IRD) NextCtx(ctx context.Context) (Released, bool, error) {
 		ird.fetch()
 	}
 }
-
-// FetchedCount returns how many k-skyband members IRD has fetched so far,
-// a measure of the search effort (|T| in the paper's notation).
-func (ird *IRD) FetchedCount() int { return len(ird.t) }
