@@ -44,10 +44,13 @@ cover:
 
 # Run the full benchmark suite and snapshot it as BENCH_$(TAG).json (e.g.
 # `make bench TAG=pr3`). The raw output lands in BENCH_$(TAG).txt; the JSON
-# snapshot is what gets committed and fed to cmd/benchdiff.
+# snapshot is what gets committed and fed to cmd/benchdiff. -cpu 2 matches
+# CI's flat-core gate: ORU's allocations grow with GOMAXPROCS, and the
+# snapshot records the value (benchdiff -allocs-only refuses to compare
+# runs at different ones).
 TAG ?= local
 bench:
-	$(GO) test -bench=. -benchmem . | tee BENCH_$(TAG).txt
+	$(GO) test -cpu 2 -bench=. -benchmem . | tee BENCH_$(TAG).txt
 	$(GO) run ./cmd/benchdiff -dump BENCH_$(TAG).txt > BENCH_$(TAG).json
 
 # Compare two bench snapshots (raw .txt or .json); fails on threshold

@@ -213,7 +213,7 @@ func BenchmarkFig10Cardinality(b *testing.B) {
 }
 
 func BenchmarkFig10Dimensionality(b *testing.B) {
-	for _, d := range []int{2, 3, 4} {
+	for _, d := range []int{2, 3, 4, 5, 6} {
 		tree := benchCache.Synthetic(data.IND, benchN, d)
 		b.Run(fmt.Sprintf("ORU/d=%d", d), func(b *testing.B) {
 			runOp(b, d, oru(tree, benchK, benchM, core.ORUOptions{}))

@@ -11,8 +11,11 @@
 // Inputs may be raw `go test -bench` output or a JSON snapshot produced by
 // -dump; the format is auto-detected. Benchmarks present in only one input
 // are reported but never fail the diff (suites grow and shrink). A snapshot
-// keeps the run's goos/goarch/pkg/cpu header lines; a diff prints both
-// sides' and notes, without failing, when they come from different hosts.
+// keeps the run's goos/goarch/pkg/cpu header lines and its GOMAXPROCS; a
+// diff prints both sides' and notes, without failing, when they come from
+// different hosts. -allocs-only refuses (exit 2) to compare runs that
+// record different GOMAXPROCS values: ORU's allocations grow with the
+// explorer's batch width, which is GOMAXPROCS.
 package main
 
 import (
@@ -45,12 +48,16 @@ type Snapshot struct {
 }
 
 // Machine is the host of a bench run, from the header lines `go test
-// -bench` prints before the results.
+// -bench` prints before the results, and the run's GOMAXPROCS, from the
+// "-N" suffix it appends to every benchmark name (none means 1).
 type Machine struct {
 	GOOS   string `json:"goos,omitempty"`
 	GOARCH string `json:"goarch,omitempty"`
 	Pkg    string `json:"pkg,omitempty"`
 	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is 0 when unknown: snapshots taken before it was
+	// recorded, and runs whose name suffixes are not uniform.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 }
 
 // String renders the machine on one line, "unknown" when unrecorded.
@@ -58,7 +65,19 @@ func (m *Machine) String() string {
 	if m == nil {
 		return "unknown"
 	}
-	return fmt.Sprintf("goos=%s goarch=%s pkg=%s cpu=%s", m.GOOS, m.GOARCH, m.Pkg, m.CPU)
+	s := fmt.Sprintf("goos=%s goarch=%s pkg=%s cpu=%s", m.GOOS, m.GOARCH, m.Pkg, m.CPU)
+	if m.GOMAXPROCS > 0 {
+		s += fmt.Sprintf(" gomaxprocs=%d", m.GOMAXPROCS)
+	}
+	return s
+}
+
+// gomaxprocs returns the run's recorded GOMAXPROCS, 0 when unknown.
+func gomaxprocs(m *Machine) int {
+	if m == nil {
+		return 0
+	}
+	return m.GOMAXPROCS
 }
 
 // sameHost reports whether both runs are known to come from the same kind
@@ -125,6 +144,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "note: the runs come from different machines; their times are not comparable")
 	}
 	if *allocsOnly {
+		// Allocation counts are deterministic at one GOMAXPROCS, but ORU's
+		// grow with it; a side that records none compares as before.
+		if o, n := gomaxprocs(oldSnap.Machine), gomaxprocs(newSnap.Machine); o > 0 && n > 0 && o != n {
+			fmt.Fprintf(stderr, "benchdiff: -allocs-only: the runs used GOMAXPROCS %d and %d; rerun the new side with -cpu %d\n", o, n, o)
+			return 2
+		}
 		// Disable the time comparison: allocation counts are deterministic
 		// on any runner, wall-clock time is not.
 		*timeThresh = 0
@@ -247,7 +272,10 @@ func loadFile(path string) (*Snapshot, error) {
 // means those trailing integers are genuine parts of benchmark names (a
 // subbenchmark label like "shards-4" on a GOMAXPROCS=1 run) and stripping
 // would corrupt them. Diff-time canonical matching (diff) covers snapshots
-// taken with different parallelism.
+// taken with different parallelism. The stripped suffix is the run's
+// GOMAXPROCS, recorded on its Machine (which exists only when the run
+// printed its header lines): 1 when no name carries one, unknown when the
+// suffixes are mixed.
 func parseBench(r io.Reader) (*Snapshot, error) {
 	snap := &Snapshot{}
 	var m Machine
@@ -314,13 +342,20 @@ func parseBench(r io.Reader) (*Snapshot, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	if m != (Machine{}) {
-		snap.Machine = &m
-	}
 	if uniform && suffix != "" {
 		for i := range snap.Benchmarks {
 			snap.Benchmarks[i].Name = strings.TrimSuffix(snap.Benchmarks[i].Name, suffix)
 		}
+	}
+	if m != (Machine{}) {
+		if uniform {
+			m.GOMAXPROCS = 1
+			if suffix != "" {
+				// canonicalName split the suffix off because it parses.
+				m.GOMAXPROCS, _ = strconv.Atoi(suffix[1:])
+			}
+		}
+		snap.Machine = &m
 	}
 	// Repeated names (-count>1) keep the last measurement.
 	seen := make(map[string]int, len(snap.Benchmarks))

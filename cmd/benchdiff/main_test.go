@@ -218,7 +218,7 @@ func TestMachineMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Machine{GOOS: "linux", GOARCH: "amd64", Pkg: "ordu", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz"}
+	want := Machine{GOOS: "linux", GOARCH: "amd64", Pkg: "ordu", CPU: "Intel(R) Xeon(R) Processor @ 2.10GHz", GOMAXPROCS: 8}
 	if snap.Machine == nil || *snap.Machine != want {
 		t.Fatalf("machine = %v, want %v", snap.Machine, &want)
 	}
@@ -269,6 +269,77 @@ func TestCommittedSnapshotsLoad(t *testing.T) {
 		var out, errOut bytes.Buffer
 		if code := run([]string{"-allocs-only", p, p}, &out, &errOut); code != 0 || !strings.Contains(out.String(), "new machine: unknown") {
 			t.Fatalf("%s: self-diff exit %d:\n%s%s", p, code, out.String(), errOut.String())
+		}
+	}
+}
+
+// TestGOMAXPROCSRecorded: a run's GOMAXPROCS is the uniform name suffix
+// parseBench strips, 1 without one, unknown (0) when the suffixes are mixed
+// or the JSON snapshot predates the field; -dump keeps it.
+func TestGOMAXPROCSRecorded(t *testing.T) {
+	const header = "goos: linux\ngoarch: amd64\npkg: ordu\ncpu: X\n"
+	for _, c := range []struct {
+		name, run string
+		want      int
+	}{
+		{"suffix 8", sampleOld, 8},
+		{"suffix 2", header + "BenchmarkA-2 100 50.0 ns/op\nBenchmarkB/shards-4-2 100 60.0 ns/op\n", 2},
+		{"no suffix", header + "BenchmarkA 100 50.0 ns/op\nBenchmarkB 100 60.0 ns/op\n", 1},
+		{"mixed", header + "BenchmarkA 100 50.0 ns/op\nBenchmarkB/shards-4 100 60.0 ns/op\n", 0},
+	} {
+		snap, err := parseBench(strings.NewReader(c.run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := gomaxprocs(snap.Machine); got != c.want {
+			t.Errorf("%s: GOMAXPROCS %d, want %d", c.name, got, c.want)
+		}
+		var dumped, errOut bytes.Buffer
+		if code := run([]string{"-dump", writeTemp(t, "run.txt", c.run)}, &dumped, &errOut); code != 0 {
+			t.Fatalf("%s: dump exited %d: %s", c.name, code, errOut.String())
+		}
+		back, err := loadFile(writeTemp(t, "run.json", dumped.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := gomaxprocs(back.Machine); got != c.want {
+			t.Errorf("%s: GOMAXPROCS %d after -dump, want %d", c.name, got, c.want)
+		}
+	}
+	back, err := loadFile(filepath.Join("..", "..", "BENCH_pr26.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Machine == nil || back.Machine.GOMAXPROCS != 0 {
+		t.Fatalf("BENCH_pr26.json predates the field, machine %v", back.Machine)
+	}
+}
+
+// TestAllocsOnlyRefusesOtherGOMAXPROCS: ORU's allocations grow with
+// GOMAXPROCS, so -allocs-only exits 2 when both runs record one and they
+// differ. A side that records none compares as before, and the default
+// mode only prints both machines.
+func TestAllocsOnlyRefusesOtherGOMAXPROCS(t *testing.T) {
+	at8 := writeTemp(t, "at8.txt", sampleOld)
+	at2 := writeTemp(t, "at2.txt", strings.ReplaceAll(sampleOld, "-8 ", "-2 "))
+	unknown := writeTemp(t, "unknown.json", `{"machine":{"goos":"linux"},"benchmarks":[{"name":"BenchmarkDefaultsORD","iterations":1,"ns_per_op":6092370,"allocs_per_op":109243}]}`)
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-allocs-only", at8, at2}, &out, &errOut); code != 2 || !strings.Contains(errOut.String(), "GOMAXPROCS 8 and 2") {
+		t.Fatalf("GOMAXPROCS 8 against 2: exit %d, stderr %q", code, errOut.String())
+	}
+	for _, c := range []struct {
+		name string
+		args []string
+	}{
+		{"same GOMAXPROCS", []string{"-allocs-only", at2, at2}},
+		{"old unrecorded", []string{"-allocs-only", unknown, at2}},
+		{"new unrecorded", []string{"-allocs-only", at2, unknown}},
+		{"default mode", []string{at8, at2}},
+	} {
+		out.Reset()
+		errOut.Reset()
+		if code := run(c.args, &out, &errOut); code != 0 {
+			t.Errorf("%s: exit %d:\n%s%s", c.name, code, out.String(), errOut.String())
 		}
 	}
 }

@@ -244,27 +244,61 @@ func TestORDTopKAlwaysIncluded(t *testing.T) {
 	}
 }
 
+// TestORDNestedInM checks ORDResult's prefix property, which ORU's
+// rho-bar estimate relies on from hull.PairwiseDim up: the output for m is
+// the first m records and radii of the output for any larger m, ties
+// included. IND, clamped ANTI, grids and duplicates at d = 2 to 8, k = 1,
+// 2 and 5, every m from k to the k-skyband's finite radii (at most 40).
 func TestORDNestedInM(t *testing.T) {
-	// Larger m extends the output without removing records.
-	rng := rand.New(rand.NewSource(7))
-	pts := randPoints(rng, 300, 3)
-	tr := rtree.BulkLoad(pts)
-	w := geom.RandSimplex(rng, 3)
-	k := 3
-	prev := map[int]bool{}
-	for _, m := range []int{3, 10, 20, 35} {
-		res, err := ORDCtx(context.Background(), tr, w, k, m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur := idSet(res.Records)
-		for id := range prev {
-			if !cur[id] {
-				t.Fatalf("ORD not nested: id %d lost at m=%d", id, m)
+	gens := []struct {
+		name string
+		gen  func(rng *rand.Rand, n, d int) []geom.Vector
+	}{
+		{"IND", randPoints},
+		{"ANTI", antiPoints},
+		{"GRID", func(rng *rand.Rand, n, d int) []geom.Vector { return gridPoints(n, d, rng.Int63()) }},
+		{"DUP", dupPoints},
+	}
+	ctx := context.Background()
+	checked := 0
+	for gi, g := range gens {
+		for d := 2; d <= 8; d++ {
+			for _, k := range []int{1, 2, 5} {
+				rng := rand.New(rand.NewSource(int64(1000*gi + 10*d + k)))
+				tree := rtree.BulkLoad(g.gen(rng, 300, d))
+				w := geom.RandSimplex(rng, d)
+				all, _, err := ordScan(ctx, tree, w, k, tree.Len())
+				if err != nil {
+					t.Fatal(err)
+				}
+				top := min(len(all), 40)
+				if top <= k {
+					continue
+				}
+				full, err := ORDCtx(ctx, tree, w, k, top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for m := k; m < top; m++ {
+					res, err := ORDCtx(ctx, tree, w, k, m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, r := range res.Records {
+						if r.ID != full.Records[i].ID || math.Float64bits(res.Radii[i]) != math.Float64bits(full.Radii[i]) {
+							t.Fatalf("%s d=%d k=%d m=%d: record %d is %d at radius %v, but %d at %v for m=%d",
+								g.name, d, k, m, i, r.ID, res.Radii[i], full.Records[i].ID, full.Radii[i], top)
+						}
+					}
+					if math.Float64bits(res.Rho) != math.Float64bits(full.Radii[m-1]) {
+						t.Fatalf("%s d=%d k=%d m=%d: Rho %v, want the m-th radius %v", g.name, d, k, m, res.Rho, full.Radii[m-1])
+					}
+					checked++
+				}
 			}
 		}
-		prev = cur
 	}
+	t.Logf("%d prefixes checked", checked)
 }
 
 // --- ORU ---

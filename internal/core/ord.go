@@ -38,18 +38,40 @@ func (c cand) Less(o cand) bool {
 // rho-dominated by fewer than k others for the minimum radius rho around w
 // that yields exactly m records.
 //
-// This is the fully-enhanced algorithm of Section 4.2: a progressive
-// k-skyband retrieval in decreasing score order for w, whose dominance test
-// switches to adaptive rho-bar-dominance once m+1 candidates have been
-// fetched; rho-bar (the largest inflection radius among the best m
-// candidates) shrinks as better candidates arrive, making the retrieval
-// increasingly selective until the heap dries up. The retrieval polls ctx
-// every few fetches and aborts with an error wrapping ctx.Err() once the
-// context is done.
+// This is the fully-enhanced algorithm of Section 4.2 (ordScan). The
+// retrieval polls ctx every few fetches and aborts with an error wrapping
+// ctx.Err() once the context is done.
 func ORDCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*ORDResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err
 	}
+	out, stats, err := ordScan(ctx, tree, w, k, m)
+	if err != nil {
+		return nil, err
+	}
+	if len(out) < m {
+		return nil, ErrInsufficientData
+	}
+	res := &ORDResult{Stats: stats}
+	for _, c := range out {
+		res.Records = append(res.Records, c.rec)
+		res.Radii = append(res.Radii, c.rho)
+	}
+	res.Rho = res.Radii[len(res.Radii)-1]
+	return res, nil
+}
+
+// ordScan is ORD's retrieval (Section 4.2): a progressive k-skyband
+// retrieval in decreasing score order for w, whose dominance test switches
+// to adaptive rho-bar-dominance once m+1 candidates have been fetched;
+// rho-bar (the largest inflection radius among the best m candidates)
+// shrinks as better candidates arrive, making the retrieval increasingly
+// selective until the heap dries up. It returns the kept candidates in
+// byRadius order: the m records of smallest inflection radius, or every
+// record of finite radius when fewer exist. ORDCtx and ORU's rho-bar
+// estimate from hull.PairwiseDim up share it. It polls ctx every
+// cancelEvery fetches.
+func ordScan(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) ([]cand, Stats, error) {
 	sc := skyband.NewScanner(tree, w)
 	pruner := skyband.NewRhoPruner(w, k)
 	var cands xheap.Heap[cand]
@@ -61,7 +83,7 @@ func ORDCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*OR
 	for i := 0; ; i++ {
 		if i%cancelEvery == 0 {
 			if err := ctxErr(ctx); err != nil {
-				return nil, err
+				return nil, Stats{}, err
 			}
 		}
 		id, p, ok := sc.Next(pruner)
@@ -84,27 +106,25 @@ func ORDCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*OR
 			pruner.Rho = cands.Peek().rho
 		}
 	}
-	if cands.Len() < m {
-		return nil, ErrInsufficientData
-	}
-	res := &ORDResult{Stats: Stats{HeapPops: sc.Visited(), Fetched: pruner.Size()}}
 	out := make([]cand, cands.Len())
 	copy(out, cands.Items())
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rho != out[j].rho { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].rho < out[j].rho
+	byRadius(out)
+	return out, Stats{HeapPops: sc.Visited(), Fetched: pruner.Size()}, nil
+}
+
+// byRadius sorts candidates by increasing inflection radius, ties going to
+// the higher score, then the smaller id: the output order of ORD and
+// ORD-BSL.
+func byRadius(cs []cand) {
+	sort.Slice(cs, func(i, j int) bool {
+		if cs[i].rho != cs[j].rho { //ordlint:allow floatcmp — tie-break on stored keys
+			return cs[i].rho < cs[j].rho
 		}
-		if out[i].score != out[j].score { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].score > out[j].score
+		if cs[i].score != cs[j].score { //ordlint:allow floatcmp — tie-break on stored keys
+			return cs[i].score > cs[j].score
 		}
-		return out[i].rec.ID < out[j].rec.ID
+		return cs[i].rec.ID < cs[j].rec.ID
 	})
-	for _, c := range out {
-		res.Records = append(res.Records, c.rec)
-		res.Radii = append(res.Radii, c.rho)
-	}
-	res.Rho = res.Radii[len(res.Radii)-1]
-	return res, nil
 }
 
 // inflectionAgainst computes the inflection radius of p against the records
@@ -161,15 +181,7 @@ func ORDBSL(tree *rtree.Tree, w geom.Vector, k, m int) (*ORDResult, error) {
 	if len(out) < m {
 		return nil, ErrInsufficientData
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].rho != out[j].rho { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].rho < out[j].rho
-		}
-		if out[i].score != out[j].score { //ordlint:allow floatcmp — tie-break on stored keys
-			return out[i].score > out[j].score
-		}
-		return out[i].rec.ID < out[j].rec.ID
-	})
+	byRadius(out)
 	out = out[:m]
 	res := &ORDResult{Stats: Stats{Fetched: len(members)}}
 	for _, c := range out {

@@ -793,39 +793,68 @@ func (e *explorer) finalize(n *regionNode) {
 // the radius at which the incremental rho-skyline's upper hull first holds
 // `target` extreme vertices. exhausted reports that the skyline ran dry
 // first (the returned radius is then +Inf, i.e. the whole k-skyband is the
-// candidate set). From hull.PairwiseDim up the fetched records are counted
-// with one QP each (hull.Extremes) instead of through an incremental hull.
+// candidate set).
+//
+// The skyline records arrive in increasing inflection radius. The vertex
+// count cannot reach the target before `target` of them arrived; past
+// that, the exact (QP-backed) count is checked only every few records
+// (atCheckpoint) — overshooting the stop by a handful of skyline records
+// merely loosens the (already over-) estimate.
+//
+// Below hull.PairwiseDim the records come one at a time from IRD (Section
+// 5.3.2) into an incremental hull: there the count needs 1.5–2.5× target
+// records, and IRD pays only for the ones it releases. From PairwiseDim up
+// almost every skyline record is extreme, so the count nearly always stops
+// at its first checkpoint. There the records come from ORD's own scan at
+// k = 1 (ordScan), whose output is the same sequence found with
+// rho-bar-dominance pruning: it is asked for the first two checkpoints'
+// worth, and for twice as many while the count falls short. The records
+// are counted with one QP each (hull.Extremes).
 func estimateRhoBar(ctx context.Context, tree *rtree.Tree, w geom.Vector, target int) (rhoBar float64, exhausted bool, fetched int, err error) {
-	ird := skyband.NewIRD(tree, w, 1)
-	var b interface {
-		Add(id int, p geom.Vector)
-		MemberCount() int
+	d := tree.Dim()
+	if d < hull.PairwiseDim {
+		ird := skyband.NewIRD(tree, w, 1)
+		b := hull.NewBuilder(d)
+		for {
+			rel, ok, err := ird.NextCtx(ctx)
+			if err != nil {
+				return 0, false, fetched, err
+			}
+			if !ok {
+				return math.Inf(1), true, fetched, nil
+			}
+			fetched++
+			b.Add(rel.ID, rel.Point)
+			if atCheckpoint(fetched, target) && b.MemberCount() >= target {
+				return rel.Radius, false, fetched, nil
+			}
+		}
 	}
-	if d := tree.Dim(); d >= hull.PairwiseDim {
-		b = hull.NewExtremes(d)
-	} else {
-		b = hull.NewBuilder(d)
-	}
-	rho := 0.0
-	for {
-		rel, ok, err := ird.NextCtx(ctx)
+	x := hull.NewExtremes(d)
+	for want := target + 8; ; want *= 2 {
+		cs, _, err := ordScan(ctx, tree, w, 1, want)
 		if err != nil {
 			return 0, false, fetched, err
 		}
-		if !ok {
+		// A larger request's answer extends the smaller one's (the prefix
+		// property ORDResult documents), so only the new records are added.
+		for _, c := range cs[fetched:] {
+			fetched++
+			x.Add(c.rec.ID, c.rec.Point)
+			if atCheckpoint(fetched, target) && x.MemberCount() >= target {
+				return c.rho, false, fetched, nil
+			}
+		}
+		if len(cs) < want {
 			return math.Inf(1), true, fetched, nil
 		}
-		fetched++
-		b.Add(rel.ID, rel.Point)
-		rho = rel.Radius
-		// The vertex count cannot reach the target before `target` records
-		// were fetched; past that, the exact (QP-backed) count is checked
-		// only every few fetches — overshooting the stop by a handful of
-		// skyline records merely loosens the (already over-) estimate.
-		if fetched >= target && (fetched-target)%8 == 0 && b.MemberCount() >= target {
-			return rho, false, fetched, nil
-		}
 	}
+}
+
+// atCheckpoint reports whether the rho-bar estimate checks its vertex
+// count after the n-th skyline record: at target, target+8, ....
+func atCheckpoint(n, target int) bool {
+	return n >= target && (n-target)%8 == 0
 }
 
 // ORUOptions tune the complete ORU algorithm; the zero value is the
@@ -845,7 +874,8 @@ type ORUOptions struct {
 // region.
 //
 // This is the complete algorithm of Section 5.3: rho-bar estimation via the
-// incremental rho-skyline, candidate restriction to the rho-bar-skyband,
+// incremental rho-skyline (from IRD below hull.PairwiseDim, from one ORD
+// scan at k = 1 from it up), candidate restriction to the rho-bar-skyband,
 // and best-first exploration of the implicit region tree with lazily
 // computed upper-hull layers, partitioning GOMAXPROCS regions at a time.
 // The candidates are complete only within rho-bar, so when the estimate

@@ -42,7 +42,10 @@ type Stats struct {
 // ORDResult is the output of an ORD query.
 type ORDResult struct {
 	// Records are the m output records ordered by inflection radius: the
-	// prefix of length j is the rho-skyband just past Records[j-1].Radius.
+	// prefix of length j is the rho-skyband just past Records[j-1].Radius,
+	// and, with its radii, exactly the answer for output size j, ties
+	// included. ORU's rho-bar estimate relies on that prefix property from
+	// hull.PairwiseDim up (estimateRhoBar).
 	Records []Record
 	// Radii holds the inflection radius of each record, parallel to
 	// Records.
