@@ -265,11 +265,17 @@ func BenchmarkFig11Distributions(b *testing.B) {
 	}
 }
 
+// BenchmarkFig11RealDatasets runs ORU on the real datasets at m = 10, at
+// k = 2 and, as `<dataset>/k=5`, at Fig. 11(b)'s k = 5, where the
+// all-pairs partition from d = 5 dominates (HOUSE d = 6, NBA d = 8).
 func BenchmarkFig11RealDatasets(b *testing.B) {
 	for _, name := range []string{"HOTEL", "HOUSE", "NBA"} {
 		tree := benchCache.Named(name, 20_000)
 		b.Run(name, func(b *testing.B) {
 			runOp(b, tree.Dim(), oru(tree, 2, 10, core.ORUOptions{}))
+		})
+		b.Run(name+"/k=5", func(b *testing.B) {
+			runOp(b, tree.Dim(), oru(tree, 5, 10, core.ORUOptions{}))
 		})
 	}
 }

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"ordu/internal/geom"
 	"ordu/internal/rtree"
@@ -52,78 +54,124 @@ func ORDCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) (*OR
 	if len(out) < m {
 		return nil, ErrInsufficientData
 	}
-	res := &ORDResult{Stats: stats}
-	for _, c := range out {
-		res.Records = append(res.Records, c.rec)
-		res.Radii = append(res.Radii, c.rho)
+	res := &ORDResult{Stats: stats, Records: make([]Record, len(out)), Radii: make([]float64, len(out))}
+	for i, c := range out {
+		res.Records[i] = c.rec
+		res.Radii[i] = c.rho
 	}
 	res.Rho = res.Radii[len(res.Radii)-1]
 	return res, nil
 }
 
-// ordScan is ORD's retrieval (Section 4.2): a progressive k-skyband
-// retrieval in decreasing score order for w, whose dominance test switches
-// to adaptive rho-bar-dominance once m+1 candidates have been fetched;
+// ordScan is ORD's retrieval (Section 4.2) on pooled state: it returns
+// ordState.scan's candidates, copied out of the pool.
+func ordScan(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) ([]cand, Stats, error) {
+	st := acquireOrd()
+	out, stats, err := st.scan(ctx, tree, w, k, m)
+	out = slices.Clone(out)
+	releaseOrd(st)
+	return out, stats, err
+}
+
+// ordState is the pooled state of ORD's retrieval: the scanner, the
+// rho-bar pruner, the candidate heap, the mindist workspace and buffer,
+// and the sorted output. One goroutine uses it at a time.
+type ordState struct {
+	sc    skyband.Scanner
+	pr    skyband.RhoPruner
+	cands xheap.Heap[cand]
+	ws    skyband.Workspace
+	mds   []float64
+	out   []cand
+}
+
+var ordPool sync.Pool
+
+// acquireOrd returns a pooled ordState, or a new one.
+func acquireOrd() *ordState {
+	if st, ok := ordPool.Get().(*ordState); ok {
+		return st
+	}
+	return &ordState{}
+}
+
+// releaseOrd drops st's references to the dataset and returns it to
+// ordPool, unless its buffers outgrew skyband.MaxPooledBytes.
+func releaseOrd(st *ordState) {
+	st.sc.Reset(nil, nil)
+	st.pr.Reset(nil, 0)
+	st.cands.Reset()
+	clear(st.out)
+	if st.footprint() > skyband.MaxPooledBytes {
+		return
+	}
+	ordPool.Put(st)
+}
+
+// footprint returns the bytes st's buffers hold.
+func (st *ordState) footprint() int {
+	const candBytes = 48
+	return st.sc.Footprint() + st.pr.Footprint() + (cap(st.cands.Items())+cap(st.out))*candBytes + cap(st.mds)*8
+}
+
+// scan is ORD's retrieval (Section 4.2): a progressive k-skyband retrieval
+// in decreasing score order for w, whose dominance test switches to
+// adaptive rho-bar-dominance once m+1 candidates have been fetched;
 // rho-bar (the largest inflection radius among the best m candidates)
 // shrinks as better candidates arrive, making the retrieval increasingly
 // selective until the heap dries up. It returns the kept candidates in
 // byRadius order: the m records of smallest inflection radius, or every
-// record of finite radius when fewer exist. ORDCtx and ORU's rho-bar
-// estimate from hull.PairwiseDim up share it. It polls ctx every
-// cancelEvery fetches.
-func ordScan(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) ([]cand, Stats, error) {
-	sc := skyband.NewScanner(tree, w)
-	pruner := skyband.NewRhoPruner(w, k)
-	var cands xheap.Heap[cand]
-	// Single-goroutine scratch: one mindist workspace and one reusable
-	// per-candidate mindist buffer for the whole retrieval.
-	var ws skyband.Workspace
-	var mds []float64
-
+// record of finite radius when fewer exist. The slice is st's own scratch,
+// valid until st's next scan or release. ORDCtx and ORU's rho-bar estimate
+// from hull.PairwiseDim up share it. It polls ctx every cancelEvery
+// fetches.
+func (st *ordState) scan(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int) ([]cand, Stats, error) {
+	st.sc.Reset(tree, w)
+	st.pr.Reset(w, k)
+	st.cands.Reset()
 	for i := 0; ; i++ {
 		if i%cancelEvery == 0 {
 			if err := ctxErr(ctx); err != nil {
 				return nil, Stats{}, err
 			}
 		}
-		id, p, ok := sc.Next(pruner)
+		id, p, ok := st.sc.Next(&st.pr)
 		if !ok {
 			break
 		}
 		// Exact inflection radius: all already-fetched records (and only
 		// they) score at least as high as p.
 		var rho float64
-		rho, mds = inflectionAgainst(w, p, pruner, k, &ws, mds)
-		pruner.Add(p)
-		if math.IsInf(rho, 1) || rho >= pruner.Rho {
+		rho, st.mds = inflectionAgainst(w, p, &st.pr, k, &st.ws, st.mds)
+		st.pr.Add(p)
+		if math.IsInf(rho, 1) || rho >= st.pr.Rho {
 			// Cannot enter the current rho-bar-skyband (possible on the
 			// exact boundary); it still remains a registered dominator.
 			continue
 		}
-		cands.Push(cand{rec: Record{ID: id, Point: p}, rho: rho, score: p.Dot(w)})
-		if cands.Len() > m {
-			cands.Pop() // evict the largest inflection radius
-			pruner.Rho = cands.Peek().rho
+		st.cands.Push(cand{rec: Record{ID: id, Point: p}, rho: rho, score: p.Dot(w)})
+		if st.cands.Len() > m {
+			st.cands.Pop() // evict the largest inflection radius
+			st.pr.Rho = st.cands.Peek().rho
 		}
 	}
-	out := make([]cand, cands.Len())
-	copy(out, cands.Items())
-	byRadius(out)
-	return out, Stats{HeapPops: sc.Visited(), Fetched: pruner.Size()}, nil
+	st.out = append(st.out[:0], st.cands.Items()...)
+	byRadius(st.out)
+	return st.out, Stats{HeapPops: st.sc.Visited(), Fetched: st.pr.Size()}, nil
 }
 
 // byRadius sorts candidates by increasing inflection radius, ties going to
 // the higher score, then the smaller id: the output order of ORD and
 // ORD-BSL.
 func byRadius(cs []cand) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].rho != cs[j].rho { //ordlint:allow floatcmp — tie-break on stored keys
-			return cs[i].rho < cs[j].rho
+	slices.SortFunc(cs, func(a, b cand) int {
+		if a.rho != b.rho { //ordlint:allow floatcmp — tie-break on stored keys
+			return cmp.Compare(a.rho, b.rho)
 		}
-		if cs[i].score != cs[j].score { //ordlint:allow floatcmp — tie-break on stored keys
-			return cs[i].score > cs[j].score
+		if a.score != b.score { //ordlint:allow floatcmp — tie-break on stored keys
+			return cmp.Compare(b.score, a.score)
 		}
-		return cs[i].rec.ID < cs[j].rec.ID
+		return cmp.Compare(a.rec.ID, b.rec.ID)
 	})
 }
 

@@ -75,6 +75,8 @@ func (n *regionNode) Less(o *regionNode) bool {
 // region workspace, the partition candidate/visited sets and buffers, and a
 // regionNode free list. One exploreWS per goroutine; partition only ever
 // touches the workspace it is handed (and reads the explorer's L_upd memo).
+// Workspaces come from wsPool and outlive the query that used them, so
+// nothing in one may be reachable from a result.
 type exploreWS struct {
 	reg     region.Workspace
 	inTop   map[int]bool
@@ -101,6 +103,53 @@ type exploreWS struct {
 	// at the region's witness, and one member's point minus another's.
 	byScore []scoredID
 	diff    geom.Vector
+}
+
+var wsPool sync.Pool
+
+// acquireWS returns a pooled exploreWS, or a new one.
+func acquireWS() *exploreWS {
+	if ws, ok := wsPool.Get().(*exploreWS); ok {
+		return ws
+	}
+	return &exploreWS{}
+}
+
+// releaseWS returns ws to wsPool, unless its buffers outgrew
+// skyband.MaxPooledBytes. The caller is done with every node ws handed out.
+func releaseWS(ws *exploreWS) {
+	clear(ws.kids[:cap(ws.kids)]) // handed-out children belong to the query
+	ws.kids = ws.kids[:0]
+	if ws.footprint() > skyband.MaxPooledBytes {
+		return
+	}
+	wsPool.Put(ws)
+}
+
+// releaseSlots releases the batch slots explore acquired.
+func releaseSlots(slots []*exploreWS) {
+	for _, ws := range slots {
+		releaseWS(ws)
+	}
+}
+
+// footprint returns about how many bytes ws keeps: its free nodes with
+// their buffers, the hull builder and the scratch slices. The union maps,
+// bounded by the candidate count, are left out.
+func (ws *exploreWS) footprint() int {
+	const (
+		nodeBytes = 200 // a regionNode's own fields
+		hsBytes   = 32  // one region.Halfspace header
+	)
+	n := (cap(ws.queue)+cap(ws.ids)+cap(ws.others)+cap(ws.kids)+cap(ws.free)+cap(ws.floodBack)+cap(ws.diff))*8 +
+		cap(ws.hs)*hsBytes + cap(ws.key) + cap(ws.byScore)*16
+	for _, nd := range ws.free {
+		n += nodeBytes + cap(nd.hsBuf)*hsBytes + (cap(nd.hsBack)+cap(nd.top)+cap(nd.witness))*8 + nd.vl.Footprint()
+	}
+	if ws.hb != nil {
+		n += ws.hb.Footprint()
+	}
+	return n
 }
 
 // node returns a recycled regionNode (fields reset, buffers retained) or a
@@ -142,8 +191,8 @@ type explorer struct {
 	pushed map[int]bool   // layer-0 members whose top-region was pushed
 	clip   *region.Region // nil: unrestricted (ball mode)
 	stats  Stats
-	ws     exploreWS // main-goroutine scratch (batch slot 0, root pushes)
-	width  int       // regions partitioned per batch: GOMAXPROCS at construction
+	ws     *exploreWS // main-goroutine scratch (batch slot 0, root pushes), pooled
+	width  int        // regions partitioned per batch: GOMAXPROCS at construction
 	// ahead holds the heap keys (mindist and top list) of partitioned
 	// regions that joined a batch behind its first and that no finalization
 	// has passed yet: the speculative partitions, should the search stop now.
@@ -161,7 +210,8 @@ type explorer struct {
 	memo map[string]*hull.Upper
 }
 
-// newExplorer builds an explorer over the candidate records.
+// newExplorer builds an explorer over the candidate records, on a pooled
+// workspace that releaseExplorer puts back.
 func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Region) *explorer {
 	ids := make([]int, len(cands))
 	pts := make([]geom.Vector, len(cands))
@@ -169,16 +219,30 @@ func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Regi
 		ids[i] = c.ID
 		pts[i] = c.Point
 	}
+	ws := acquireWS()
 	return &explorer{
 		w:      w,
 		k:      k,
 		layers: hull.NewLayers(ids, pts),
 		pushed: make(map[int]bool),
 		clip:   clip,
+		ws:     ws,
 		outSet: make(map[int]bool),
 		width:  runtime.GOMAXPROCS(0),
 		memo:   make(map[string]*hull.Upper),
 	}
+}
+
+// releaseExplorer recycles the nodes left on e's heap and returns e's
+// workspace to the pool. e's records and regions stay the caller's: they
+// hold no pooled memory.
+func releaseExplorer(e *explorer) {
+	for _, n := range e.h.Items() {
+		e.ws.recycle(n)
+	}
+	e.h.Reset()
+	releaseWS(e.ws)
+	e.ws = nil
 }
 
 // seed pushes the layer-0 top-region containing the start point (the seed
@@ -239,6 +303,9 @@ func (e *explorer) buildNodeRegion(child *regionNode, parent region.Region, id i
 	}
 	back = back[:cap(back)]
 	hs := child.hsBuf[:0]
+	if rows := len(parent.Hs) + len(others); cap(hs) < rows {
+		hs = make([]region.Halfspace, 0, rows) //ordlint:allow noalloc — pool growth, amortised across the node's reuses
+	}
 	off := 0
 	for _, h := range parent.Hs {
 		a := back[off : off+d : off+d]
@@ -322,7 +389,7 @@ func (e *explorer) resolve(n *regionNode, ws *exploreWS) bool {
 // inherit, so their lower bound is 0.
 func (e *explorer) push(n *regionNode) {
 	n.mindist = 0
-	if e.resolve(n, &e.ws) {
+	if e.resolve(n, e.ws) {
 		e.h.Push(n)
 	}
 }
@@ -349,12 +416,15 @@ func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err
 	// One exploreWS per batch slot, so concurrent partitions never share
 	// scratch; slot 0 runs on this goroutine with the main workspace.
 	slots := make([]*exploreWS, e.width)
-	slots[0] = &e.ws
+	slots[0] = e.ws
 	for i := 1; i < len(slots); i++ {
-		slots[i] = &exploreWS{}
+		ws := acquireWS()
+		slots[i] = ws
 	}
+	defer releaseSlots(slots[1:])
 	batch := make([]*regionNode, 0, e.width)
 	children := make([][]*regionNode, e.width)
+	var wg sync.WaitGroup
 	for e.h.Len() > 0 {
 		if err := ctxErr(ctx); err != nil {
 			return false, err
@@ -391,7 +461,6 @@ func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err
 			ws.free = append(ws.free, e.ws.free[keep:]...)
 			e.ws.free = e.ws.free[:keep]
 		}
-		var wg sync.WaitGroup
 		for i := 1; i < len(batch); i++ {
 			wg.Add(1)
 			go func(i int) {
@@ -538,6 +607,9 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 		if li, ok := e.layers.LayerOf(id); ok && li > child.deepest {
 			child.deepest = li
 		}
+		if cap(child.top) < e.k {
+			child.top = make([]int, 0, e.k) // top lists never outgrow k
+		}
 		child.top = append(append(child.top, n.top...), id)
 		e.clipVerts(child, n)
 		children = append(children, child)
@@ -594,9 +666,8 @@ func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
 		clear(visited)
 		visited[start] = true
 		queue := append(ws.queue[:0], start)
-		for len(queue) > 0 {
-			id := queue[0]
-			queue = queue[1:]
+		for qi := 0; qi < len(queue); qi++ {
+			id := queue[qi]
 			ws.hs, ws.floodBack = beatAllScratch(e.layers, id, lnext.Adj(id), ws.hs[:0], ws.floodBack)
 			if e.floodMisses(n, ws) {
 				continue
@@ -831,9 +902,11 @@ func estimateRhoBar(ctx context.Context, tree *rtree.Tree, w geom.Vector, target
 		}
 	}
 	x := hull.NewExtremes(d)
+	st := acquireOrd()
 	for want := target + 8; ; want *= 2 {
-		cs, _, err := ordScan(ctx, tree, w, 1, want)
+		cs, _, err := st.scan(ctx, tree, w, 1, want)
 		if err != nil {
+			releaseOrd(st)
 			return 0, false, fetched, err
 		}
 		// A larger request's answer extends the smaller one's (the prefix
@@ -842,10 +915,12 @@ func estimateRhoBar(ctx context.Context, tree *rtree.Tree, w geom.Vector, target
 			fetched++
 			x.Add(c.rec.ID, c.rec.Point)
 			if atCheckpoint(fetched, target) && x.MemberCount() >= target {
+				releaseOrd(st)
 				return c.rho, false, fetched, nil
 			}
 		}
 		if len(cs) < want {
+			releaseOrd(st)
 			return math.Inf(1), true, fetched, nil
 		}
 	}
@@ -904,15 +979,18 @@ func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, 
 		if ex.seed() {
 			complete, exErr := ex.explore(ctx, m)
 			if exErr != nil {
+				releaseExplorer(ex)
 				return nil, exErr
 			}
 			if complete {
 				if res := ex.result(); res.Rho <= rhoBar {
 					res.Stats.LayersComputed = ex.layers.Computed()
+					releaseExplorer(ex)
 					return res, nil
 				}
 			}
 		}
+		releaseExplorer(ex)
 		if exhausted {
 			return nil, ErrInsufficientData
 		}
@@ -942,12 +1020,16 @@ func (e *explorer) result() *ORUResult {
 func EnumerateWithin(cands []skyband.Member, w geom.Vector, k int, clip region.Region) ([]Record, []TopKRegion, error) {
 	ex := newExplorer(cands, w, k, &clip)
 	if !ex.seed() {
+		releaseExplorer(ex)
 		return nil, nil, nil
 	}
-	if _, err := ex.explore(context.Background(), 0); err != nil {
+	_, err := ex.explore(context.Background(), 0)
+	records, regions := ex.records, ex.regions
+	releaseExplorer(ex)
+	if err != nil {
 		return nil, nil, err
 	}
-	return ex.records, ex.regions, nil
+	return records, regions, nil
 }
 
 // ORUBSL is the paper's ORU baseline: it uses the same rho-bar estimate,
@@ -978,22 +1060,26 @@ func ORUBSL(tree *rtree.Tree, w geom.Vector, k, m int, budget int) (*ORUResult, 
 	ex.stats.LayersComputed = ex.layers.Computed()
 	l0 := ex.layers.Layer(0)
 	if l0 == nil {
+		releaseExplorer(ex)
 		return nil, ErrInsufficientData
 	}
 	for _, id := range l0.MemberIDs {
 		ex.pushL1(id)
 	}
 	// Exhaust the heap: partition everything reachable.
-	if _, err := ex.explore(context.Background(), 0); err != nil {
+	_, err = ex.explore(context.Background(), 0)
+	regions, stats := ex.regions, ex.stats
+	releaseExplorer(ex)
+	if err != nil {
 		return nil, err
 	}
 	// Sort finalized regions by mindist and take the union until m records.
-	sort.Slice(ex.regions, func(i, j int) bool {
-		return ex.regions[i].MinDist < ex.regions[j].MinDist
+	sort.Slice(regions, func(i, j int) bool {
+		return regions[i].MinDist < regions[j].MinDist
 	})
-	res := &ORUResult{Stats: ex.stats}
+	res := &ORUResult{Stats: stats}
 	seen := map[int]bool{}
-	for _, reg := range ex.regions {
+	for _, reg := range regions {
 		res.Regions = append(res.Regions, reg)
 		for _, r := range reg.TopK {
 			if !seen[r.ID] {

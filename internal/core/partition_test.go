@@ -126,7 +126,7 @@ func TestPartitionPruneSound(t *testing.T) {
 			var parts, withList, union, dropped, settled int
 			var hs []region.Halfspace
 			var back []float64
-			ws := &ex.ws
+			ws := ex.ws
 			for ex.h.Len() > 0 && len(ex.records) < m {
 				nd := ex.pop()
 				if !ex.joins(nd, nil) {

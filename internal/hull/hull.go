@@ -204,6 +204,21 @@ func (b *Builder) Reset(d int) {
 	b.chunkOff = 0
 }
 
+// chunkFloats is the size of one point-arena chunk.
+const chunkFloats = 2048
+
+// Footprint returns about how many bytes b keeps across Reset: its point
+// arena, its facets (live and pooled) and its scratch buffers. A pool
+// holding builders checks its retention cap against it.
+func (b *Builder) Footprint() int {
+	facetBytes := 96 + 24*b.dim // the struct, its vertices, normal and neighbour list
+	n := len(b.chunks)*chunkFloats*8 + (len(b.facets)+len(b.freeFacets))*facetBytes
+	n += (cap(b.pts) + cap(b.fpts) + cap(b.nbrPts)) * 24
+	n += (cap(b.ids) + cap(b.fastStamp) + cap(b.hullStamp) + cap(b.memberStamp) + cap(b.nbrBuf) +
+		cap(b.vertBuf) + cap(b.ridgeVerts) + cap(b.extBuf) + cap(b.pairBuf) + cap(b.pairBuf2)) * 8
+	return n + cap(b.pairCnt)*4 + len(b.pending)*48
+}
+
 // allocPoint carves one d-vector from the point arena. The returned slice
 // aliases the builder's chunk arena: it stays valid (and keeps its contents)
 // until the builder is garbage-collected — Reset recycles the arena cursor
@@ -212,7 +227,6 @@ func (b *Builder) Reset(d int) {
 //
 //ordlint:noalloc
 func (b *Builder) allocPoint() []float64 {
-	const chunkFloats = 2048
 	// Advance past an exhausted chunk (every chunk holds chunkFloats
 	// floats, so the next recycled chunk always fits a point).
 	if b.chunkI < len(b.chunks) && b.chunkOff+b.dim > len(b.chunks[b.chunkI]) && b.chunkI+1 < len(b.chunks) {

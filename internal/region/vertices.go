@@ -58,6 +58,11 @@ type Vertices struct {
 	slack []float64 // Clip scratch: each point's slack on the clipped row
 }
 
+// Footprint returns the bytes the list's buffers hold.
+func (vl *Vertices) Footprint() int {
+	return (cap(vl.pts)+cap(vl.slack))*8 + cap(vl.tight)*rowBits/8
+}
+
 // Reset makes the list the d corners of the unit simplex. Corner j is tight
 // on every axis row v_i >= 0 with i != j. d must not exceed rowBits.
 //

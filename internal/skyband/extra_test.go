@@ -100,7 +100,8 @@ func TestRhoPrunerTightening(t *testing.T) {
 	rng := rand.New(rand.NewSource(145))
 	d := 3
 	w := geom.RandSimplex(rng, d)
-	pr := NewRhoPruner(w, 2)
+	pr := &RhoPruner{}
+	pr.Reset(w, 2)
 	recs := randPoints(rng, 40, d)
 	// Register the higher-scoring half.
 	for _, r := range recs[:20] {

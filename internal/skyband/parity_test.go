@@ -103,8 +103,10 @@ func tiePoints(rng *rand.Rand, n, d, levels int) []geom.Vector {
 // TestScannerPopOrderMatchesLegacy drives the flat-tree Scanner and the
 // legacy-tree oracle through full unpruned scans of identical datasets and
 // requires the identical record emission sequence — ids, points and order.
+// One Scanner serves every dataset through Reset, as a pooled one does.
 func TestScannerPopOrderMatchesLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
+	var sc Scanner
 	for _, cfg := range []struct{ n, d, levels int }{
 		{300, 2, 8},
 		{1200, 3, 6},
@@ -118,7 +120,7 @@ func TestScannerPopOrderMatchesLegacy(t *testing.T) {
 		for i := range w {
 			w[i] = rng.Float64() + 0.1
 		}
-		sc := NewScanner(ft, w)
+		sc.Reset(ft, w)
 		or := newOracleScanner(lt, w)
 		for i := 0; ; i++ {
 			id, p, ok := sc.Next(nil)
@@ -186,7 +188,8 @@ func TestRhoSkybandParityVsLegacy(t *testing.T) {
 	for _, rho := range []float64{0.05, 0.2} {
 		got := rhoSkyband(t, ft, w, 3, rho)
 		or := newOracleScanner(lt, w)
-		pr := NewRhoPruner(w, 3)
+		pr := &RhoPruner{}
+		pr.Reset(w, 3)
 		pr.Rho = rho
 		var want []Member
 		for {

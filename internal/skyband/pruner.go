@@ -59,11 +59,20 @@ type RhoPruner struct {
 	ws Workspace
 }
 
-// NewRhoPruner returns a rho-dominance pruner with radius +Inf (which makes
-// it equivalent to plain k-dominance until Rho is tightened).
-func NewRhoPruner(w geom.Vector, k int) *RhoPruner {
-	return &RhoPruner{W: w, K: k, Rho: math.Inf(1)}
+// Reset makes r a fresh pruner for w and k with radius +Inf, which makes
+// it plain k-dominance until Rho is tightened. It keeps its record list's
+// storage and its workspace; a nil w leaves it holding no reference to any
+// dataset, which is how a pooled pruner is put away.
+//
+//ordlint:noalloc
+func (r *RhoPruner) Reset(w geom.Vector, k int) {
+	clear(r.recs) // the records alias the last dataset's storage
+	r.W, r.K, r.Rho, r.recs = w, k, math.Inf(1), r.recs[:0]
 }
+
+// Footprint returns the bytes r's record list holds, the figure a pool's
+// retention cap is checked against.
+func (r *RhoPruner) Footprint() int { return cap(r.recs) * 24 }
 
 // Add registers an emitted record as a potential rho-dominator.
 func (r *RhoPruner) Add(p geom.Vector) { r.recs = append(r.recs, p) }

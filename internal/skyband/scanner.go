@@ -3,7 +3,6 @@ package skyband
 import (
 	"ordu/internal/geom"
 	"ordu/internal/rtree"
-	"ordu/internal/xheap"
 )
 
 // Pruner decides whether a candidate point (a record, or the top corner of
@@ -33,11 +32,10 @@ type scanEntry struct {
 }
 
 // Less orders the scan max-heap: higher score first, larger coordinate sum
-// on ties (typed xheap element, no per-push boxing). The remaining keys —
-// lexicographically larger point, then nodes before records, then smaller
-// id — extend the comparison to a strict total order on records, so the
-// emission sequence of a scan is a property of the dataset alone, not of
-// heap internals.
+// on ties. The remaining keys — lexicographically larger point, then nodes
+// before records, then smaller id — extend the comparison to a strict
+// total order on records, so the emission sequence of a scan is a
+// property of the dataset alone, not of heap internals.
 func (e scanEntry) Less(o scanEntry) bool {
 	if e.score != o.score { //ordlint:allow floatcmp — tie-break on stored keys
 		return e.score > o.score
@@ -59,16 +57,33 @@ func (e scanEntry) Less(o scanEntry) bool {
 	return e.id < o.id
 }
 
+// scanKey is the heap's view of one pushed entry: the two keys that settle
+// almost every comparison, and the slab slot holding the entry. It holds no
+// pointer, so sifting it moves 24 bytes with no write barrier; only keys
+// tied on both fall back to scanEntry.Less on the slab.
+type scanKey struct {
+	score float64
+	sum   float64
+	slot  int32
+}
+
 // Scanner is the paper's amended BBS (Sections 4.2, 5.3.2): it visits index
 // nodes and records in decreasing (upper bound of) score for the seed w,
 // using a max-heap, and emits the records that survive a caller-supplied
 // pruner. The visiting order guarantees that no record emitted later can
 // dominate (or rho-dominate, for any rho) one emitted earlier, which is the
 // property BBS's correctness rests on.
+//
+// The heap orders scanKeys; the entries themselves stay put in slab, whose
+// vacated slots are reused through free. The zero value is an empty scan;
+// Reset starts a new one on the same buffers.
 type Scanner struct {
 	tree    *rtree.Tree
 	w       geom.Vector
-	h       xheap.Heap[scanEntry]
+	keys    []scanKey   // max-heap in scan order
+	slab    []scanEntry // entries by slot; a slot is fixed while its key is in keys
+	free    []int32     // vacant slots of slab
+	top     geom.Vector // the root's top corner
 	seq     uint64
 	visited int // heap pops, for instrumentation
 
@@ -79,23 +94,141 @@ type Scanner struct {
 	onPop  func(seq uint64)
 }
 
+// freshEntries is the room a fresh scanner's buffers start with.
+const freshEntries = 64
+
 // NewScanner starts a scan of tree in decreasing score order for w.
 func NewScanner(tree *rtree.Tree, w geom.Vector) *Scanner {
-	s := &Scanner{tree: tree, w: w}
-	if root := tree.Root(); root != rtree.NilNode {
-		b, _ := tree.Bounds()
-		s.pushNode(root, b.TopCorner())
-	}
+	s := &Scanner{}
+	s.Reset(tree, w)
 	return s
 }
 
+// Reset starts a new scan of tree for w on s's buffers, dropping the
+// observers. A nil tree leaves s empty and holding no reference to any
+// dataset, which is how a pooled scanner is put away.
+func (s *Scanner) Reset(tree *rtree.Tree, w geom.Vector) {
+	clear(s.slab) // stale entries would pin the last dataset's points
+	s.tree, s.w = tree, w
+	if s.slab == nil {
+		// A fresh scanner: any index past one leaf pushes this many
+		// entries, so start with room for them rather than grow to it.
+		s.keys = make([]scanKey, 0, freshEntries)
+		s.slab = make([]scanEntry, 0, freshEntries)
+		s.free = make([]int32, 0, freshEntries)
+	}
+	s.keys, s.slab, s.free = s.keys[:0], s.slab[:0], s.free[:0]
+	s.seq, s.visited = 0, 0
+	s.onPush, s.onPop = nil, nil
+	if tree == nil {
+		return
+	}
+	root := tree.Root()
+	if root == rtree.NilNode {
+		return
+	}
+	// The root's top corner, built in scratch as topk.Searcher builds it.
+	d := tree.Dim()
+	if cap(s.top) < d {
+		s.top = make(geom.Vector, d)
+	}
+	top := s.top[:d]
+	leaf := tree.Level(root) == 0
+	for i, cnt := 0, tree.Count(root); i < cnt; i++ {
+		hi := tree.LeafPoint(root, i)
+		if !leaf {
+			hi = tree.ChildHi(root, i)
+		}
+		if i == 0 {
+			copy(top, hi)
+			continue
+		}
+		for j, v := range hi {
+			top[j] = max(top[j], v)
+		}
+	}
+	s.pushNode(root, top)
+}
+
+// Footprint returns the bytes s's buffers hold, the figure a pool's
+// retention cap is checked against.
+func (s *Scanner) Footprint() int {
+	const keyBytes, entryBytes = 24, 64
+	return cap(s.keys)*keyBytes + cap(s.slab)*entryBytes + cap(s.free)*4 + cap(s.top)*8
+}
+
+// before orders the key heap: scanEntry.Less, settled on the keys alone
+// unless they tie.
+func (s *Scanner) before(a, b scanKey) bool {
+	if a.score != b.score { //ordlint:allow floatcmp — tie-break on stored keys
+		return a.score > b.score
+	}
+	if a.sum != b.sum { //ordlint:allow floatcmp — tie-break on stored keys
+		return a.sum > b.sum
+	}
+	return s.slab[a.slot].Less(s.slab[b.slot])
+}
+
+// push adds e under a free or a new slot.
+//
+//ordlint:bounded — one slot per entry in the heap at once: at most the tree's entries, whose count the tree gates below 2^31
 func (s *Scanner) push(e scanEntry) {
 	e.seq = s.seq
 	s.seq++
-	s.h.Push(e)
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
+		s.slab[slot] = e
+	} else {
+		slot = int32(len(s.slab))
+		s.slab = append(s.slab, e)
+	}
+	// Sift up by moving a hole rather than swapping.
+	k := scanKey{score: e.score, sum: e.sum, slot: slot}
+	h := append(s.keys, k)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(k, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = k
+	s.keys = h
 	if s.onPush != nil {
 		s.onPush(e.seq, e.pt)
 	}
+}
+
+// pop removes the first entry in scan order and frees its slot; the entry
+// is returned by value, since a later push may reuse the slot.
+func (s *Scanner) pop() scanEntry {
+	h := s.keys
+	first := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	// Sift the last key down from the root, moving a hole.
+	i := 0
+	for c := 1; c < n; c = 2*i + 1 {
+		if r := c + 1; r < n && s.before(h[r], h[c]) {
+			c = r
+		}
+		if !s.before(h[c], last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	s.keys = h
+	s.free = append(s.free, first.slot)
+	return s.slab[first.slot]
 }
 
 func (s *Scanner) pushNode(n rtree.NodeRef, top geom.Vector) {
@@ -117,8 +250,8 @@ func (s *Scanner) pushRecord(id int, p geom.Vector) {
 // aliases the tree's storage (no copy is made); it stays valid for the
 // lifetime of the tree and must be copied if retained beyond it.
 func (s *Scanner) Next(pruner Pruner) (id int, p geom.Vector, ok bool) {
-	for s.h.Len() > 0 {
-		e := s.h.Pop()
+	for len(s.keys) > 0 {
+		e := s.pop()
 		s.visited++
 		if s.onPop != nil {
 			s.onPop(e.seq)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -181,6 +182,62 @@ func TestResultsDoNotAliasDataset(t *testing.T) {
 	if !bytes.Equal(before, after) {
 		t.Fatalf("answers moved after the caller overwrote them:\n%s\n%s", before, after)
 	}
+}
+
+// TestConcurrentQueriesMatchSequential runs ORD and ORU from four
+// goroutines at once on one dataset, so the queries share the pooled scan
+// and explorer scratch, and requires every answer to equal the one the
+// same query gave alone. Run it with -race -count=10.
+func TestConcurrentQueriesMatchSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(2807))
+	ds, err := NewDataset(antiRecords(rng, 1500, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	seeds := make([][]float64, 8)
+	for i := range seeds {
+		if seeds[i], err = Preference(randRecords(rng, 1, 3)[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refORD := make([]*ORDResult, len(seeds))
+	refORU := make([]*ORUResult, len(seeds))
+	for i, w := range seeds {
+		if refORD[i], err = ds.ORDCtx(ctx, w, 3, 15); err != nil {
+			t.Fatal(err)
+		}
+		if refORU[i], err = ds.ORUCtx(ctx, w, 2, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := range seeds {
+				i := (j + 3*g) % len(seeds)
+				ord, err := ds.ORDCtx(ctx, seeds[i], 3, 15)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(ord, refORD[i]) {
+					t.Errorf("goroutine %d, seed %d: concurrent ORD answer differs from the sequential one", g, i)
+				}
+				oru, err := ds.ORUCtx(ctx, seeds[i], 2, 8)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(oru, refORU[i]) {
+					t.Errorf("goroutine %d, seed %d: concurrent ORU answer differs from the sequential one", g, i)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 func TestTopKAndSkyline(t *testing.T) {
