@@ -45,9 +45,10 @@ cover:
 # Run the full benchmark suite and snapshot it as BENCH_$(TAG).json (e.g.
 # `make bench TAG=pr3`). The raw output lands in BENCH_$(TAG).txt; the JSON
 # snapshot is what gets committed and fed to cmd/benchdiff. -cpu 2 matches
-# CI's flat-core gate: ORU's allocations grow with GOMAXPROCS, and the
-# snapshot records the value (benchdiff -allocs-only refuses to compare
-# runs at different ones).
+# CI's flat-core gate: ORU's allocations depend on GOMAXPROCS, because a
+# sync.Pool keeps the pooled query scratch per P, and the snapshot records
+# the value (benchdiff -allocs-only refuses to compare runs at different
+# ones).
 TAG ?= local
 bench:
 	$(GO) test -cpu 2 -bench=. -benchmem . | tee BENCH_$(TAG).txt

@@ -14,8 +14,8 @@
 // keeps the run's goos/goarch/pkg/cpu header lines and its GOMAXPROCS; a
 // diff prints both sides' and notes, without failing, when they come from
 // different hosts. -allocs-only refuses (exit 2) to compare runs that
-// record different GOMAXPROCS values: ORU's allocations grow with the
-// explorer's batch width, which is GOMAXPROCS.
+// record different GOMAXPROCS values: ORU's allocations depend on it,
+// because a sync.Pool keeps the pooled query scratch per P.
 package main
 
 import (
@@ -144,8 +144,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, "note: the runs come from different machines; their times are not comparable")
 	}
 	if *allocsOnly {
-		// Allocation counts are deterministic at one GOMAXPROCS, but ORU's
-		// grow with it; a side that records none compares as before.
+		// ORU's allocation counts depend on GOMAXPROCS (its pooled scratch
+		// is kept per P); a side that records none compares as before.
 		if o, n := gomaxprocs(oldSnap.Machine), gomaxprocs(newSnap.Machine); o > 0 && n > 0 && o != n {
 			fmt.Fprintf(stderr, "benchdiff: -allocs-only: the runs used GOMAXPROCS %d and %d; rerun the new side with -cpu %d\n", o, n, o)
 			return 2

@@ -8,18 +8,15 @@ import (
 
 // TestModuleConcSweep pins the module's spawn inventory: caller -> spawned
 // callees, in edge order. The map is exhaustive, so a new go statement
-// anywhere in the module fails here until it is classified. The ORU
-// explorer's fork-join batch and the load generator's worker pool have
-// -race tests (internal/core, cmd/ordload); the daemon's goroutines only
-// serve and shut down.
+// anywhere in the module fails here until it is classified. No library
+// package spawns: a query runs on its caller's goroutine. The load
+// generator's worker pool has a -race test (cmd/ordload); the daemon's
+// goroutines only serve and shut down.
 func TestModuleConcSweep(t *testing.T) {
 	pkgs, modPath := loadModule(t)
 	g := BuildCallGraph(pkgs)
 
 	wantSpawns := map[string][]string{
-		modPath + "/internal/core.explorer.explore": {
-			modPath + "/internal/core.explorer.explore.func1",
-		},
 		modPath + "/cmd/ordload.loadgen.run": {
 			modPath + "/cmd/ordload.loadgen.run.func1",
 		},

@@ -9,7 +9,7 @@ import (
 
 // NewMaporder builds the maporder analyzer, guarding the determinism of
 // ordered output (the paper's operators return rank-sensitive results, and
-// the ORU batch-width parity test depends on reproducible
+// the byte-for-byte parity tests depend on reproducible
 // orderings): inside the scoped packages, appending to a slice while
 // ranging over a map bakes Go's randomized iteration order into the
 // result. The append is exempt when the destination slice is passed to a

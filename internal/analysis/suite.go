@@ -126,11 +126,10 @@ func DefaultConfig(modulePath string) Config {
 			{Get: modulePath + "/internal/core.exploreWS.node", Put: modulePath + "/internal/core.exploreWS.recycle"},
 			{Get: modulePath + "/internal/hull.Builder.allocFacet", Put: modulePath + "/internal/hull.Builder.freeFacet"},
 			// Scratch pooled across queries (sync.Pools): the scan state of
-			// the skyband retrievals, ORD's scan state, the explorer's
-			// workspaces, and the explorer that holds its main workspace.
+			// the skyband retrievals, ORD's scan state, and the explorer,
+			// which holds its pooled workspace.
 			{Get: modulePath + "/internal/skyband.acquireScan", Put: modulePath + "/internal/skyband.releaseScan"},
 			{Get: modulePath + "/internal/core.acquireOrd", Put: modulePath + "/internal/core.releaseOrd"},
-			{Get: modulePath + "/internal/core.acquireWS", Put: modulePath + "/internal/core.releaseWS"},
 			{Get: modulePath + "/internal/core.newExplorer", Put: modulePath + "/internal/core.releaseExplorer"},
 		},
 		CtxFlowEntryPackages: map[string]bool{

@@ -47,6 +47,17 @@ func antiPoints(rng *rand.Rand, n, d int) []geom.Vector {
 	return pts
 }
 
+// dupPoints draws n records from a pool of n/4 distinct points, so most
+// records share their coordinates with several others.
+func dupPoints(rng *rand.Rand, n, d int) []geom.Vector {
+	pool := antiPoints(rng, n/4, d)
+	pts := make([]geom.Vector, n)
+	for i := range pts {
+		pts[i] = append(geom.Vector(nil), pool[rng.Intn(len(pool))]...)
+	}
+	return pts
+}
+
 // maxM returns the k-skyband size, the ceiling for ORD's output size.
 func maxM(tr *rtree.Tree, k int) int {
 	return len(skyband.KSkyband(tr, k))

@@ -61,21 +61,19 @@ func TestORUCtxCancelled(t *testing.T) {
 	if _, err := ORUWithCtx(ctx, tree, w, 2, 10, ORUOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The explorer honours cancellation at every batch width, not only the
-	// retrieval phases ahead of it.
+	// The explorer honours cancellation too, not only the retrieval phases
+	// ahead of it.
 	cands, err := skyband.RhoSkybandCtx(context.Background(), tree, w, 2, math.Inf(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, width := range []int{1, 4} {
-		ex := newExplorer(cands, w, 2, nil)
-		ex.width = width
-		if !ex.seed() {
-			t.Fatal("no layer-0 region to seed")
-		}
-		if _, err := ex.explore(ctx, 10); !errors.Is(err, context.Canceled) {
-			t.Fatalf("width %d: err = %v, want context.Canceled", width, err)
-		}
+	ex := newExplorer(cands, w, 2, nil)
+	defer releaseExplorer(ex)
+	if !ex.seed() {
+		t.Fatal("no layer-0 region to seed")
+	}
+	if _, err := ex.explore(ctx, 10); !errors.Is(err, context.Canceled) {
+		t.Fatalf("explore: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -5,9 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"maps"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -57,8 +55,8 @@ type regionNode struct {
 // Less orders the exploration min-heap by mindist (exact comparison of
 // stored keys), ties going to the lexicographically smaller top list. Each
 // node of the implicit tree has its own top list and a child's extends its
-// parent's, so the order is total, and it does not depend on when — or in
-// which batch — a node was pushed.
+// parent's, so the order is total: the pop sequence does not depend on the
+// order in which nodes were pushed.
 func (n *regionNode) Less(o *regionNode) bool {
 	if n.mindist != o.mindist { //ordlint:allow floatcmp — tie-break on stored keys
 		return n.mindist < o.mindist
@@ -71,10 +69,8 @@ func (n *regionNode) Less(o *regionNode) bool {
 	return len(n.top) < len(o.top)
 }
 
-// exploreWS is the per-worker scratch of the region search: the QP-backed
-// region workspace, the partition candidate/visited sets and buffers, and a
-// regionNode free list. One exploreWS per goroutine; partition only ever
-// touches the workspace it is handed (and reads the explorer's L_upd memo).
+// exploreWS is the explorer's scratch: the QP-backed region workspace, the
+// partition candidate/visited sets and buffers, and a regionNode free list.
 // Workspaces come from wsPool and outlive the query that used them, so
 // nothing in one may be reachable from a result.
 type exploreWS struct {
@@ -89,16 +85,9 @@ type exploreWS struct {
 	// floodBack backs the probe-and-discard beat normals of the Set (ii)
 	// flood (beatAllScratch); invalidated probe to probe, never retained.
 	floodBack []float64
-	// kids is the pooled children slice handed out by partition; callers
-	// consume it (push every child) before the next partition call on the
-	// same workspace, which reuses it.
-	kids []*regionNode
-	free []*regionNode
-	hb   *hull.Builder // pooled L_upd hull builder (Reset per partition)
-	key  []byte        // memo key of the union being partitioned
-	// built holds the L_upd hulls this slot built during the current batch,
-	// for the main goroutine to add to the memo once the batch is done.
-	built map[string]*hull.Upper
+	free      []*regionNode
+	hb        *hull.Builder // pooled L_upd hull builder (Reset per partition)
+	key       []byte        // memo key of the union being partitioned
 	// byScore and diff are prune's scratch: the union in descending score
 	// at the region's witness, and one member's point minus another's.
 	byScore []scoredID
@@ -106,32 +95,6 @@ type exploreWS struct {
 }
 
 var wsPool sync.Pool
-
-// acquireWS returns a pooled exploreWS, or a new one.
-func acquireWS() *exploreWS {
-	if ws, ok := wsPool.Get().(*exploreWS); ok {
-		return ws
-	}
-	return &exploreWS{}
-}
-
-// releaseWS returns ws to wsPool, unless its buffers outgrew
-// skyband.MaxPooledBytes. The caller is done with every node ws handed out.
-func releaseWS(ws *exploreWS) {
-	clear(ws.kids[:cap(ws.kids)]) // handed-out children belong to the query
-	ws.kids = ws.kids[:0]
-	if ws.footprint() > skyband.MaxPooledBytes {
-		return
-	}
-	wsPool.Put(ws)
-}
-
-// releaseSlots releases the batch slots explore acquired.
-func releaseSlots(slots []*exploreWS) {
-	for _, ws := range slots {
-		releaseWS(ws)
-	}
-}
 
 // footprint returns about how many bytes ws keeps: its free nodes with
 // their buffers, the hull builder and the scratch slices. The union maps,
@@ -141,7 +104,7 @@ func (ws *exploreWS) footprint() int {
 		nodeBytes = 200 // a regionNode's own fields
 		hsBytes   = 32  // one region.Halfspace header
 	)
-	n := (cap(ws.queue)+cap(ws.ids)+cap(ws.others)+cap(ws.kids)+cap(ws.free)+cap(ws.floodBack)+cap(ws.diff))*8 +
+	n := (cap(ws.queue)+cap(ws.ids)+cap(ws.others)+cap(ws.free)+cap(ws.floodBack)+cap(ws.diff))*8 +
 		cap(ws.hs)*hsBytes + cap(ws.key) + cap(ws.byScore)*16
 	for _, nd := range ws.free {
 		n += nodeBytes + cap(nd.hsBuf)*hsBytes + (cap(nd.hsBack)+cap(nd.top)+cap(nd.witness))*8 + nd.vl.Footprint()
@@ -191,22 +154,16 @@ type explorer struct {
 	pushed map[int]bool   // layer-0 members whose top-region was pushed
 	clip   *region.Region // nil: unrestricted (ball mode)
 	stats  Stats
-	ws     *exploreWS // main-goroutine scratch (batch slot 0, root pushes), pooled
-	width  int        // regions partitioned per batch: GOMAXPROCS at construction
-	// ahead holds the heap keys (mindist and top list) of partitioned
-	// regions that joined a batch behind its first and that no finalization
-	// has passed yet: the speculative partitions, should the search stop now.
-	ahead []regionNode
+	ws     *exploreWS // pooled scratch
 
 	outSet   map[int]bool
 	records  []Record
 	regions  []TopKRegion
 	budget   int  // max partitionings; 0 = unlimited
 	noBypass bool // ablation: always build L_upd hulls, even for tiny unions
-	// memo holds every L_upd hull built so far, keyed by its candidate
-	// union: regions with the same top set in another order share their
-	// union. Batched partitions only read it; the main goroutine fills it
-	// between batches.
+	// memo holds every L_upd hull of the query so far, keyed by its
+	// candidate union: regions with the same top set in another order
+	// share their union.
 	memo map[string]*hull.Upper
 }
 
@@ -219,7 +176,10 @@ func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Regi
 		ids[i] = c.ID
 		pts[i] = c.Point
 	}
-	ws := acquireWS()
+	ws, ok := wsPool.Get().(*exploreWS)
+	if !ok {
+		ws = &exploreWS{}
+	}
 	return &explorer{
 		w:      w,
 		k:      k,
@@ -228,20 +188,21 @@ func newExplorer(cands []skyband.Member, w geom.Vector, k int, clip *region.Regi
 		clip:   clip,
 		ws:     ws,
 		outSet: make(map[int]bool),
-		width:  runtime.GOMAXPROCS(0),
 		memo:   make(map[string]*hull.Upper),
 	}
 }
 
 // releaseExplorer recycles the nodes left on e's heap and returns e's
-// workspace to the pool. e's records and regions stay the caller's: they
-// hold no pooled memory.
+// workspace to the pool, unless its buffers outgrew skyband.MaxPooledBytes.
+// e's records and regions stay the caller's: they hold no pooled memory.
 func releaseExplorer(e *explorer) {
 	for _, n := range e.h.Items() {
 		e.ws.recycle(n)
 	}
 	e.h.Reset()
-	releaseWS(e.ws)
+	if e.ws.footprint() <= skyband.MaxPooledBytes {
+		wsPool.Put(e.ws)
+	}
 	e.ws = nil
 }
 
@@ -358,20 +319,20 @@ func (e *explorer) clipVerts(n, parent *regionNode) {
 }
 
 // resolve computes the node's exact mindist and witness (within the clip,
-// when set) on ws. It reports false — and recycles the node to ws — when the
-// region is empty. The node's stored mindist must be a valid lower bound on
-// entry (the parent's mindist for partition children, 0 for roots): the
-// child region is a subset of its parent's, so its true mindist can never
-// be smaller, and clamping absorbs the solver's last-ulp noise — keeping the
+// when set). It reports false — and recycles the node — when the region is
+// empty. The node's stored mindist must be a valid lower bound on entry
+// (the parent's mindist for partition children, 0 for roots): the child
+// region is a subset of its parent's, so its true mindist can never be
+// smaller, and clamping absorbs the solver's last-ulp noise — keeping the
 // finalization order provably monotone.
-func (e *explorer) resolve(n *regionNode, ws *exploreWS) bool {
+func (e *explorer) resolve(n *regionNode) bool {
 	var clipHs []region.Halfspace
 	if e.clip != nil {
 		clipHs = e.clip.Hs
 	}
-	dist, closest, ok := n.reg.ProbeMinDist(clipHs, e.w, &ws.reg)
+	dist, closest, ok := n.reg.ProbeMinDist(clipHs, e.w, &e.ws.reg)
 	if !ok {
-		ws.recycle(n)
+		e.ws.recycle(n)
 		return false
 	}
 	if dist < n.mindist {
@@ -389,7 +350,7 @@ func (e *explorer) resolve(n *regionNode, ws *exploreWS) bool {
 // inherit, so their lower bound is 0.
 func (e *explorer) push(n *regionNode) {
 	n.mindist = 0
-	if e.resolve(n, e.ws) {
+	if e.resolve(n) {
 		e.h.Push(n)
 	}
 }
@@ -399,111 +360,29 @@ func (e *explorer) push(n *regionNode) {
 // the heap (clip mode / full enumeration). It reports whether the target
 // was reached (always true for targetM == 0 unless the budget tripped).
 //
-// Up to e.width regions are partitioned concurrently, the parallelisation
-// of Section 6.4: finding the next-ranked records in one region is
-// independent of every other region. Partitioning emits no output; only
-// finalizations (Case 2) must follow global mindist order. The loop
-// therefore batches the open (Case-1) regions at the heap top and drains
-// the whole batch, pushing every child, before the next final region is
-// popped. At width 1 it is the one-pop-at-a-time best-first loop.
-//
-// A batch may partition a region that the one-at-a-time order would not
-// have reached before the answer completed. Such speculative partitions
-// never materialise a hull layer (see joins) and are left out of
-// RegionsPartitioned (see finalize), so output and Stats are the same at
-// every width.
+// Each step pops the region closest to the seed. A region whose top list is
+// k deep, or whose candidates ran out, is final (Case 2) and is recorded;
+// any other is partitioned (Case 1) and its children are pushed.
 func (e *explorer) explore(ctx context.Context, targetM int) (complete bool, err error) {
-	// One exploreWS per batch slot, so concurrent partitions never share
-	// scratch; slot 0 runs on this goroutine with the main workspace.
-	slots := make([]*exploreWS, e.width)
-	slots[0] = e.ws
-	for i := 1; i < len(slots); i++ {
-		ws := acquireWS()
-		slots[i] = ws
-	}
-	defer releaseSlots(slots[1:])
-	batch := make([]*regionNode, 0, e.width)
-	children := make([][]*regionNode, e.width)
-	var wg sync.WaitGroup
 	for e.h.Len() > 0 {
 		if err := ctxErr(ctx); err != nil {
 			return false, err
 		}
-		batch = batch[:0]
-		for len(batch) < e.width && e.h.Len() > 0 && e.joins(*e.h.Peek(), batch) {
-			batch = append(batch, e.pop())
-		}
-		if len(batch) == 0 {
-			// The heap top is a final (Case-2) region.
-			e.finalize(e.pop())
+		n := e.pop()
+		if n.final || len(n.top) >= e.k {
+			e.finalize(n)
 			if targetM > 0 && len(e.records) >= targetM {
-				e.stats.RegionsPartitioned -= len(e.ahead)
 				return true, nil
 			}
 			continue
 		}
-		if e.budget > 0 && e.stats.RegionsPartitioned+len(batch) > e.budget {
+		if e.budget > 0 && e.stats.RegionsPartitioned >= e.budget {
 			return false, ErrBudgetExceeded
 		}
-		e.stats.RegionsPartitioned += len(batch)
-		// Materialise every layer a batched partition may read up front, so
-		// the partitions only read shared explorer state. Nodes recycled on
-		// this goroutine collect in e.ws.free; each helper slot takes a
-		// share, so its children come from the pool too.
-		deepest := 0
-		for _, n := range batch {
-			deepest = max(deepest, n.deepest)
-		}
-		e.layers.Layer(deepest + 1) // nil past the last layer; that is fine
-		share := len(e.ws.free) / len(batch)
-		for _, ws := range slots[1:len(batch)] {
-			keep := len(e.ws.free) - share
-			ws.free = append(ws.free, e.ws.free[keep:]...)
-			e.ws.free = e.ws.free[:keep]
-		}
-		for i := 1; i < len(batch); i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				children[i] = e.partition(batch[i], slots[i])
-			}(i)
-		}
-		children[0] = e.partition(batch[0], slots[0])
-		wg.Wait()
-		// The batch is done: publish the hulls its partitions built.
-		for _, ws := range slots[:len(batch)] {
-			maps.Copy(e.memo, ws.built)
-			clear(ws.built)
-		}
-		for i, n := range batch {
-			if i > 0 {
-				e.ahead = append(e.ahead, regionNode{mindist: n.mindist, top: slices.Clone(n.top)})
-			}
-			if n.final {
-				// Re-queue it, keeping its key, to be finalized short in
-				// mindist order.
-				e.h.Push(n)
-				continue
-			}
-			e.ws.recycle(n) // children re-derive everything they need
-			for _, c := range children[i] {
-				e.h.Push(c)
-			}
-		}
+		e.stats.RegionsPartitioned++
+		e.partition(n)
 	}
 	return targetM == 0, nil
-}
-
-// joins reports whether the heap top n may join the batch being collected.
-// Only open regions (top list shorter than k, candidates not exhausted)
-// are partitioned. Past the first, a region joins only if the hull layer
-// its partition reads is one the first region's partition materialises
-// anyway or one already computed.
-func (e *explorer) joins(n *regionNode, batch []*regionNode) bool {
-	if n.final || len(n.top) >= e.k {
-		return false
-	}
-	return len(batch) == 0 || n.deepest <= batch[0].deepest || n.deepest+1 < e.layers.Computed()
 }
 
 // pop removes and returns the heap top — a pooled node, the caller's until
@@ -522,20 +401,22 @@ func (e *explorer) pop() *regionNode {
 }
 
 // partition applies Theorem 1 to a popped region: the next-ranked record
-// anywhere in it comes from the candidate union (see union). It returns one
-// resolved child per next record whose region is not empty. When no next
-// record exists it marks n final instead. All scratch state comes from ws
-// (one per goroutine); the layers structure and the memo are only read.
-func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
-	ids := e.union(n, ws)
+// anywhere in it comes from the candidate union (see union). It pushes one
+// resolved child per next record whose region is not empty and recycles n.
+// When no next record exists it marks n final and pushes it back instead,
+// with its key, to be finalized short in mindist order.
+func (e *explorer) partition(n *regionNode) {
+	ws := e.ws
+	ids := e.union(n)
 	if len(ids) == 0 {
 		// The top list cannot grow further (only possible when the
 		// candidate set is smaller than k).
 		n.final = true
-		return nil
+		e.h.Push(n)
+		return
 	}
 	if n.verts {
-		ids = e.prune(n, ws, ids)
+		ids = e.prune(n, ids)
 	}
 	// L_upd: the upper hull of the candidate union; its top-regions
 	// partition n.reg by the identity of the next-ranked record (Lemma 2).
@@ -588,19 +469,16 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 				ws.hb.Add(id, e.layers.Point(id))
 			}
 			upd = ws.hb.Upper()
-			ws.built[string(key)] = upd
+			e.memo[string(key)] = upd //ordlint:allow wsescape — Upper allocates the hull it returns; nothing of the builder is kept
 		}
 		memberIDs = upd.MemberIDs
 		adjOf = upd.Adj
 	}
-	children := ws.kids[:0]
 	for _, id := range memberIDs {
 		child := ws.node()
 		e.buildNodeRegion(child, n.reg, id, adjOf(id))
-		// Resolving here, on the slot's own workspace, keeps the children's
-		// QPs inside the parallel batch; empty children are dropped.
 		child.mindist = n.mindist
-		if !e.resolve(child, ws) {
+		if !e.resolve(child) { // empty children are dropped
 			continue
 		}
 		child.deepest = n.deepest
@@ -612,22 +490,21 @@ func (e *explorer) partition(n *regionNode, ws *exploreWS) []*regionNode {
 		}
 		child.top = append(append(child.top, n.top...), id)
 		e.clipVerts(child, n)
-		children = append(children, child)
+		e.h.Push(child)
 	}
-	ws.kids = children
-	return children
+	ws.recycle(n) // children re-derive everything they need
 }
 
 // union returns, sorted, the candidate union of Theorem 1 for a popped
 // region: Set (i), the records adjacent to a top member in its own layer,
 // and Set (ii), the next-layer records whose top-region overlaps the
-// region. The slice is ws.ids.
-func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
+// region. The slice is e.ws.ids.
+func (e *explorer) union(n *regionNode) []int {
+	ws := e.ws
 	if ws.inTop == nil {
 		ws.inTop = make(map[int]bool)
 		ws.cand = make(map[int]bool)
 		ws.visited = make(map[int]bool)
-		ws.built = make(map[string]*hull.Upper)
 	}
 	inTop := ws.inTop
 	clear(inTop)
@@ -669,7 +546,7 @@ func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
 		for qi := 0; qi < len(queue); qi++ {
 			id := queue[qi]
 			ws.hs, ws.floodBack = beatAllScratch(e.layers, id, lnext.Adj(id), ws.hs[:0], ws.floodBack)
-			if e.floodMisses(n, ws) {
+			if e.floodMisses(n) {
 				continue
 			}
 			cand[id] = true
@@ -692,7 +569,7 @@ func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
 }
 
 // floodMisses reports whether n.reg misses the top-region of a flood
-// member, given by its beat rows ws.hs. Three tests run in order of cost,
+// member, given by its beat rows e.ws.hs. Three tests run in order of cost,
 // each settling only what it proves:
 //   - Witness screen: n.witness is a point of n.reg (its mindist
 //     projection); when it clears every beat row by witnessMargin, the
@@ -708,16 +585,17 @@ func (e *explorer) union(n *regionNode, ws *exploreWS) []int {
 // The margin keeps both screens strictly conservative w.r.t. the solver's
 // own tolerance, so marginal cases still go to the QP, which settles them
 // exactly as it would without the screens.
-func (e *explorer) floodMisses(n *regionNode, ws *exploreWS) bool {
-	if witnessInside(n.witness, ws.hs) {
+func (e *explorer) floodMisses(n *regionNode) bool {
+	hs := e.ws.hs
+	if witnessInside(n.witness, hs) {
 		return false
 	}
 	if n.verts {
-		if miss, meet := n.vl.Screen(ws.hs, witnessMargin); miss || meet {
+		if miss, meet := n.vl.Screen(hs, witnessMargin); miss || meet {
 			return miss
 		}
 	}
-	_, _, ok := n.reg.ProbeMinDist(ws.hs, n.witness, &ws.reg)
+	_, _, ok := n.reg.ProbeMinDist(hs, n.witness, &e.ws.reg)
 	return !ok
 }
 
@@ -739,7 +617,8 @@ type scoredID struct {
 // a point of the region. So, visiting the members in descending score
 // there, testing each against the kept members alone still drops every
 // member that some union member beats.
-func (e *explorer) prune(n *regionNode, ws *exploreWS, ids []int) []int {
+func (e *explorer) prune(n *regionNode, ids []int) []int {
+	ws := e.ws
 	byScore := ws.byScore[:0]
 	for _, id := range ids {
 		byScore = append(byScore, scoredID{e.layers.Point(id).Dot(n.witness), id})
@@ -841,12 +720,9 @@ func witnessInside(w geom.Vector, hs []region.Halfspace) bool {
 // finalize records a completed region and its newly confirmed records, then
 // recycles the node. The retained TopKRegion keeps n.witness by reference,
 // so the witness buffer is detached (left to the output) before the node
-// returns to the free list; the node keeps its constraint buffers. Batched
-// partitions that order no later than n in the heap are ones the
-// one-at-a-time order reaches before n, so they leave e.ahead.
+// returns to the free list; the node keeps its constraint buffers.
 func (e *explorer) finalize(n *regionNode) {
 	e.stats.RegionsFinalized++
-	e.ahead = slices.DeleteFunc(e.ahead, func(a regionNode) bool { return !n.Less(&a) })
 	tk := make([]Record, len(n.top))
 	for i, id := range n.top {
 		tk[i] = Record{ID: id, Point: e.layers.Point(id)}
@@ -952,13 +828,14 @@ type ORUOptions struct {
 // incremental rho-skyline (from IRD below hull.PairwiseDim, from one ORD
 // scan at k = 1 from it up), candidate restriction to the rho-bar-skyband,
 // and best-first exploration of the implicit region tree with lazily
-// computed upper-hull layers, partitioning GOMAXPROCS regions at a time.
-// The candidates are complete only within rho-bar, so when the estimate
-// proves too small — the exploration cannot confirm m records, or confirms
-// them past rho-bar (a few percent of NBA d=8 queries) — the estimation
-// target is doubled and the search restarted, preserving exactness. The
-// rho-bar estimation, the candidate retrieval and the exploration all poll
-// ctx and abort with an error wrapping ctx.Err() once it is done.
+// computed upper-hull layers, one region at a time on the calling
+// goroutine. The candidates are complete only within rho-bar, so when the
+// estimate proves too small — the exploration cannot confirm m records, or
+// confirms them past rho-bar (a few percent of NBA d=8 queries) — the
+// estimation target is doubled and the search restarted, preserving
+// exactness. The rho-bar estimation, the candidate retrieval and the
+// exploration all poll ctx and abort with an error wrapping ctx.Err() once
+// it is done.
 func ORUWithCtx(ctx context.Context, tree *rtree.Tree, w geom.Vector, k, m int, opts ORUOptions) (*ORUResult, error) {
 	if err := validate(tree, w, k, m); err != nil {
 		return nil, err

@@ -19,8 +19,8 @@ import (
 // its memo must equal the upper hull of the same candidate union built from
 // scratch, and regions sharing a union must find it there instead of
 // building it again. With NoPartitionBypass every partition with candidates
-// builds or looks up a hull, so at width 1 (no speculative partitions) the
-// memo holds fewer entries than RegionsPartitioned exactly when lookups hit.
+// builds or looks up a hull, so the memo holds fewer entries than
+// RegionsPartitioned exactly when lookups hit.
 func TestPartitionMemoMatchesFreshHull(t *testing.T) {
 	cases := []struct {
 		name string
@@ -42,7 +42,6 @@ func TestPartitionMemoMatchesFreshHull(t *testing.T) {
 		}
 		ex := newExplorer(cands, w, k, nil)
 		ex.noBypass = true
-		ex.width = 1
 		if !ex.seed() {
 			t.Fatalf("%s: nothing to explore", c.name)
 		}
@@ -98,11 +97,10 @@ func TestWitnessInsideMargin(t *testing.T) {
 	}
 }
 
-// TestPartitionPruneSound: over every partition of a width-1 exploration
-// that has a vertex list, each union member the in-region dominance prune
-// drops gets an empty child when resolved against the full union, and each
-// verdict the vertex flood screen reaches for a next-layer member matches
-// the QP probe.
+// TestPartitionPruneSound: over every partition of an exploration that has
+// a vertex list, each union member the in-region dominance prune drops gets
+// an empty child when resolved against the full union, and each verdict the
+// vertex flood screen reaches for a next-layer member matches the QP probe.
 func TestPartitionPruneSound(t *testing.T) {
 	const n, k, m = 2000, 4, 16
 	for _, g := range []struct {
@@ -119,7 +117,6 @@ func TestPartitionPruneSound(t *testing.T) {
 				t.Fatal(err)
 			}
 			ex := newExplorer(cands, w, k, nil)
-			ex.width = 1
 			if !ex.seed() {
 				t.Fatalf("%s: nothing to explore", name)
 			}
@@ -129,15 +126,15 @@ func TestPartitionPruneSound(t *testing.T) {
 			ws := ex.ws
 			for ex.h.Len() > 0 && len(ex.records) < m {
 				nd := ex.pop()
-				if !ex.joins(nd, nil) {
+				if nd.final || len(nd.top) >= k {
 					ex.finalize(nd)
 					continue
 				}
 				parts++
 				if nd.verts {
 					withList++
-					all := slices.Clone(ex.union(nd, ws))
-					kept := ex.prune(nd, ws, slices.Clone(all))
+					all := slices.Clone(ex.union(nd))
+					kept := ex.prune(nd, slices.Clone(all))
 					union += len(all)
 					for _, s := range all {
 						if slices.Contains(kept, s) {
@@ -169,15 +166,7 @@ func TestPartitionPruneSound(t *testing.T) {
 						}
 					}
 				}
-				kids := ex.partition(nd, ws)
-				if nd.final {
-					ex.h.Push(nd)
-					continue
-				}
-				ws.recycle(nd)
-				for _, c := range kids {
-					ex.h.Push(c)
-				}
+				ex.partition(nd)
 			}
 			t.Logf("%s: %d of %d partitions with a vertex list, union %d, dropped %d, %d screen verdicts", name, withList, parts, union, dropped, settled)
 			if withList == 0 || dropped == 0 || settled == 0 {

@@ -7,6 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -87,6 +90,97 @@ func TestPooledScratchBounded(t *testing.T) {
 	t.Logf("after the deadline: %d workspaces (largest %d bytes), %d ORD states (largest %d bytes)", nw, lw, no, lo)
 	if lw > skyband.MaxPooledBytes || lo > skyband.MaxPooledBytes {
 		t.Fatalf("a pooled object exceeds the cap of %d bytes: workspace %d, ORD state %d", skyband.MaxPooledBytes, lw, lo)
+	}
+}
+
+// TestExploreWarmPoolRepeat runs every entry point on the explorer twice,
+// the first time with the explorer and ORD pools drained and the second on
+// the workspace and ORD state the first put back: node free list with row
+// buffers and vertex lists, QP workspace, L_upd builder and union maps. The
+// two runs must return the same records, regions, radius, statistics and
+// error, so no warm buffer carries state from one query into the next.
+func TestExploreWarmPoolRepeat(t *testing.T) {
+	// A sync.Pool keeps a private object per P. With one P the second run
+	// takes what the first put back.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	type repeatCase struct {
+		name       string
+		gen        func(*rand.Rand, int, int) []geom.Vector
+		d, n, k, m int
+		ops        []string // the entry points to run; nil runs all
+	}
+	var cases []repeatCase
+	for _, g := range []repeatCase{{name: "IND", gen: randPoints}, {name: "ANTI", gen: antiPoints}, {name: "DUP", gen: dupPoints}} {
+		for _, c := range []struct{ d, n, k, m int }{{2, 200, 4, 9}, {4, 160, 3, 8}, {8, 80, 2, 5}} {
+			cases = append(cases, repeatCase{g.name, g.gen, c.d, c.n, c.k, c.m, nil})
+		}
+	}
+	// Large enough that about half the partitions repeat a candidate union,
+	// so the L_upd memo serves lookups. ORUBSL is too slow at this size.
+	cases = append(cases, repeatCase{"IND", randPoints, 4, 1000, 5, 20, []string{"ORUWithCtx", "EnumerateWithin"}})
+	type outcome struct {
+		Res     *ORUResult
+		Records []Record
+		Regions []TopKRegion
+		Err     error
+	}
+	none := func(any) int { return 0 }
+	for _, c := range cases {
+		d, k, m := c.d, c.k, c.m
+		rng := rand.New(rand.NewSource(int64(112 + d)))
+		tr := rtree.BulkLoad(c.gen(rng, c.n, d))
+		w := geom.RandSimplex(rng, d)
+		band, err := skyband.KSkybandForCtx(context.Background(), tr, w, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs := []struct {
+			op  string
+			run func() outcome
+		}{
+			{"ORUWithCtx", func() outcome {
+				res, err := ORUWithCtx(context.Background(), tr, w, k, m, ORUOptions{})
+				return outcome{Res: res, Err: err}
+			}},
+			{"EnumerateWithin", func() outcome {
+				recs, regs, err := EnumerateWithin(band, w, k, region.Box(w, 0.1))
+				return outcome{Records: recs, Regions: regs, Err: err}
+			}},
+			// Fewer candidates than k: every region runs out of
+			// candidates before its top list is k deep.
+			{"EnumerateWithin/short", func() outcome {
+				recs, regs, err := EnumerateWithin(band[:4], w, 5, region.Box(w, 0.3))
+				return outcome{Records: recs, Regions: regs, Err: err}
+			}},
+			{"ORUBSL", func() outcome {
+				res, err := ORUBSL(tr, w, k, m, 0)
+				return outcome{Res: res, Err: err}
+			}},
+			{"ORUBSL/budget", func() outcome {
+				res, err := ORUBSL(tr, w, k, m, 3)
+				return outcome{Res: res, Err: err}
+			}},
+		}
+		first := map[string]outcome{}
+		for _, r := range runs {
+			if c.ops != nil && !slices.Contains(c.ops, r.op) {
+				continue
+			}
+			drainPool(&wsPool, none)
+			drainPool(&ordPool, none)
+			cold := r.run()
+			if warm := r.run(); !reflect.DeepEqual(warm, cold) {
+				t.Errorf("%s/d=%d/n=%d/%s: the warm run diverges from the cold one:\n warm %+v\n cold %+v",
+					c.name, d, c.n, r.op, warm.Res, cold.Res)
+			}
+			first[r.op] = cold
+		}
+		if err := first["ORUWithCtx"].Err; err != nil {
+			t.Errorf("%s/d=%d/n=%d: ORUWithCtx: %v", c.name, d, c.n, err)
+		}
+		if bsl, ok := first["ORUBSL"]; ok && bsl.Err == nil && !errors.Is(first["ORUBSL/budget"].Err, ErrBudgetExceeded) {
+			t.Errorf("%s/d=%d: budgeted ORUBSL err = %v, want the budget to trip", c.name, d, first["ORUBSL/budget"].Err)
+		}
 	}
 }
 

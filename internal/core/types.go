@@ -29,9 +29,7 @@ type Stats struct {
 	// tests each child before pushing it, and an entry rejected there is
 	// never pushed or popped, so it is not counted.
 	HeapPops int
-	// RegionsPartitioned counts Theorem-1 partitionings (ORU only): those
-	// the best-first order reaches before the answer is complete, whatever
-	// extra regions a concurrent batch partitioned ahead of that point.
+	// RegionsPartitioned counts Theorem-1 partitionings (ORU only).
 	RegionsPartitioned int
 	// RegionsFinalized counts finalized top-k regions (ORU only).
 	RegionsFinalized int

@@ -206,7 +206,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, op string) 
 			resp = NewORDResponse(res)
 		}
 	case "oru":
-		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M) //ordlint:allow lockmode — the explorer's wg.Wait joins its own CPU-bound partition batch, not I/O; the read lock must span query, marshal and cache fill (see above), and ctx bounds the hold time
+		res, qerr := nd.ds.ORUCtx(ctx, req.W, req.K, req.M)
 		if qerr != nil {
 			err = qerr
 		} else {

@@ -344,11 +344,10 @@ func (ds *Dataset) ORDCtx(ctx context.Context, w []float64, k, m int) (*ORDResul
 	return out, nil
 }
 
-// ORUCtx runs the paper's ranking-flavoured operator (Definition 2),
-// partitioning as many preference regions at once as GOMAXPROCS allows —
-// the parallelisation the paper proposes in Section 6.4; the result does
-// not depend on it. ctx is polled as in ORDCtx. The result is the
-// caller's; a region's TopK shares the record slices of Records.
+// ORUCtx runs the paper's ranking-flavoured operator (Definition 2) on the
+// calling goroutine, exploring one preference region at a time. ctx is
+// polled as in ORDCtx. The result is the caller's; a region's TopK shares
+// the record slices of Records.
 func (ds *Dataset) ORUCtx(ctx context.Context, w []float64, k, m int) (*ORUResult, error) {
 	v, err := ds.prepW(w)
 	if err != nil {
